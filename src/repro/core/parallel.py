@@ -1,4 +1,4 @@
-"""Parallel campaign execution: one worker process per OS variant.
+"""Parallel campaign execution: variant slices on a pool of workers.
 
 The paper ran its >2 million test cases over seven OS variants; each
 variant boots an independent simulated :class:`~repro.sim.machine.Machine`,
@@ -8,10 +8,12 @@ clock) accumulates across MuTs -- the source of the paper's ``*``
 interference crashes -- so the unit of parallelism is the variant, never
 the MuT.
 
-:class:`ParallelCampaign` fans each variant out to a ``spawn``-started
-``multiprocessing`` worker.  Workers rebuild the MuT/type registries
-in-process (their call implementations are closures and cannot cross a
-spawn boundary), run the exact serial per-variant loop
+:class:`ParallelCampaign` hands each variant (or variant slice) to a
+warm ``spawn``-started worker of one :class:`~repro.core.pool.WorkerPool`
+that lives for the :meth:`~ParallelCampaign.run` call.  Workers rebuild
+the MuT/type registries in-process (their call implementations are
+closures and cannot cross a spawn boundary), run the exact serial
+per-variant loop
 (:func:`repro.core.campaign.run_variant` via a single-variant
 :class:`~repro.core.campaign.Campaign`), and stream progress events and
 their final checkpoint back over a queue.  The parent merges the
@@ -30,8 +32,6 @@ checkpoint.  Completed MuTs are skipped per variant either way.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
 import pathlib
 import queue
@@ -43,6 +43,7 @@ from typing import Iterable, Sequence
 
 from repro.core.atlas import load_atlas, save_atlas
 from repro.core.campaign import Campaign, CampaignConfig, ProgressFn
+from repro.core.pool import WorkerPool
 from repro.core.results import ResultSet
 from repro.obs import events as obs_events
 from repro.obs.recorder import Recorder
@@ -134,7 +135,7 @@ def config_spec_fields(config: CampaignConfig) -> dict:
     }
 
 
-def _fault_injector(events=None):
+def _fault_injector():
     """Env-triggered worker faults for resilience tests and CI drills.
 
     ``BALLISTA_FAULT_KILL="variant|api:name|case_index[|marker_path]"``
@@ -173,13 +174,8 @@ def _fault_injector(events=None):
             if marker is None or not os.path.exists(marker):
                 if marker is not None:
                     pathlib.Path(marker).touch()
-                if events is not None:
-                    # Flush already-queued telemetry to the parent before
-                    # dying: SIGKILL would otherwise race the queue's
-                    # feeder thread and silently drop the doomed
-                    # attempt's partial case events.
-                    events.close()
-                    events.join_thread()
+                # Every event already sent is in the parent's pipe: the
+                # pool's workers write synchronously.
                 os.kill(os.getpid(), signal.SIGKILL)
         if hang and (variant, mut, case_index) == hang[:3]:
             # A faithful hang: ignore polite SIGTERM (native code stuck
@@ -255,7 +251,7 @@ def _personality_by_key(key: str) -> Personality:
 
 
 def _variant_worker(spec: dict, events) -> None:
-    """Child-process entry point: run one variant's slice.
+    """Run one spec -- a variant's slice -- inside a pooled worker.
 
     ``spec`` is a plain picklable dict (variant key, MuT-name filter,
     config fields, shard path, resume document, quarantine verdicts,
@@ -265,7 +261,8 @@ def _variant_worker(spec: dict, events) -> None:
     ``("heartbeat", tag, "api:name", case_index)`` liveness beacons
     for the supervisor's wall-clock watchdog, and finishes with either
     ``("done", tag, checkpoint_dict)`` or ``("error", tag,
-    traceback_text)``.
+    traceback_text)``.  Everything it builds is local to the call, so a
+    warm worker runs the next spec exactly as a cold one would.
 
     ``tag`` is ``spec["tag"]`` when present, else the variant key.  The
     campaign runners never set one (their unit of work *is* the
@@ -323,7 +320,7 @@ def _variant_worker(spec: dict, events) -> None:
         def forward(variant: str, mut: str, position: int, total: int) -> None:
             events.put(("progress", tag, mut, position, total))
 
-        fault = _fault_injector(events)
+        fault = _fault_injector()
         recorder = _ObsForwarder(events, tag) if spec.get("events") else None
         hb_interval = spec.get("heartbeat_interval", 1.0)
         last_beat = 0.0
@@ -668,8 +665,9 @@ class ParallelCampaign:
                 events=recorder is not None,
             )
             synthetic = []
+        pool = WorkerPool(self.jobs)
         try:
-            shards = self._run_workers(specs, progress, recorder)
+            shards = self._run_workers(pool, specs, progress, recorder)
             if self.shards > 1:
                 entries = synthetic + [shards[spec["tag"]] for spec in specs]
             else:
@@ -700,6 +698,7 @@ class ParallelCampaign:
                         except OSError:  # pragma: no cover - already gone
                             pass
         finally:
+            pool.close()
             self._planner = None
             self._progress_ctx = None
             self._plans = {}
@@ -1007,79 +1006,79 @@ class ParallelCampaign:
 
     def _run_workers(
         self,
+        pool: WorkerPool,
         specs: list[dict],
         progress: ProgressFn | None,
         recorder: Recorder | None = None,
     ) -> dict[str, CampaignCheckpoint]:
-        """Spawn at most ``self.jobs`` concurrent workers, pump their
-        event queue, and collect one finished shard per variant."""
-        ctx = multiprocessing.get_context("spawn")
-        events = ctx.Queue()
+        """Run the specs on at most ``self.jobs`` pooled workers, pump
+        their messages, and collect one finished shard per spec."""
         pending = list(specs)
-        running: dict[str, object] = {}
         shards: dict[str, CampaignCheckpoint] = {}
         errors: dict[str, str] = {}
-        try:
-            while pending or running:
-                while len(running) < self.jobs:
-                    spec = self._admit(pending)
-                    if spec is None:
-                        break
-                    worker = self._spawn(ctx, spec, events)
-                    running[spec.get("tag") or spec["variant"]] = worker
+        while pending or len(pool):
+            while not pool.full():
+                spec = self._admit(pending)
+                if spec is None:
+                    break
+                pid = pool.run(spec.get("tag") or spec["variant"], spec)
+                if recorder is not None:
+                    recorder.emit(
+                        obs_events.WorkerSpawned(spec["variant"], pid, 1)
+                    )
+            if pending and not len(pool):
+                # Defensive: every unschedulable slice waits on a
+                # predecessor, so something must always be running.
+                raise RuntimeError(
+                    "sharded campaign stalled: no runnable slices"
+                )
+            try:
+                message = pool.get(timeout=0.2)
+            except queue.Empty:
+                # A worker killed from outside (OOM, SIGKILL) never
+                # posts a message; fail its spec loudly instead of
+                # hanging.  Its shard stays on disk for the next run.
+                for key, exitcode in pool.reap():
+                    errors[key] = (
+                        f"worker exited with code {exitcode} without "
+                        f"reporting a result"
+                    )
                     if recorder is not None:
                         recorder.emit(
-                            obs_events.WorkerSpawned(
-                                spec["variant"], worker.pid or 0, 1
+                            obs_events.WorkerDied(
+                                key,
+                                "killed",
+                                "exited without reporting a result",
+                                exitcode=exitcode,
                             )
                         )
-                if pending and not running:
-                    # Defensive: every unschedulable slice waits on a
-                    # predecessor, so something must always be running.
-                    raise RuntimeError(
-                        "sharded campaign stalled: no runnable slices"
+                continue
+            kind, key = message[0], message[1]
+            if kind == "progress":
+                self._forward_progress(progress, message)
+            elif kind == "heartbeat":
+                pass  # liveness beacons; only the supervisor consumes them
+            elif kind == "obs":
+                if recorder is not None:
+                    recorder.record(message[2])
+            elif kind == "done":
+                pool.release(key)
+                if recorder is not None:
+                    recorder.emit(obs_events.WorkerFinished(key))
+                self._absorb_done(
+                    key,
+                    checkpoint_from_dict(message[2]),
+                    shards,
+                    pending,
+                    recorder,
+                )
+            else:  # "error"
+                errors[key] = message[2]
+                pool.release(key)
+                if recorder is not None:
+                    recorder.emit(
+                        obs_events.WorkerDied(key, "crashed", message[2])
                     )
-                try:
-                    message = events.get(timeout=0.2)
-                except queue.Empty:
-                    # Only scan for silent deaths when a worker's
-                    # sentinel actually reports one -- an idle pump over
-                    # healthy workers must not burn a liveness sweep
-                    # (nor emit reap telemetry) every 200 ms tick.
-                    dead = self._dead_workers(running)
-                    if dead:
-                        self._reap_silent_deaths(
-                            running, errors, dead, recorder
-                        )
-                    continue
-                kind, key = message[0], message[1]
-                if kind == "progress":
-                    self._forward_progress(progress, message)
-                elif kind == "heartbeat":
-                    pass  # liveness beacons; only the supervisor consumes them
-                elif kind == "obs":
-                    if recorder is not None:
-                        recorder.record(message[2])
-                elif kind == "done":
-                    self._retire(running, key)
-                    if recorder is not None:
-                        recorder.emit(obs_events.WorkerFinished(key))
-                    self._absorb_done(
-                        key,
-                        checkpoint_from_dict(message[2]),
-                        shards,
-                        pending,
-                        recorder,
-                    )
-                else:  # "error"
-                    errors[key] = message[2]
-                    self._retire(running, key)
-                    if recorder is not None:
-                        recorder.emit(
-                            obs_events.WorkerDied(key, "crashed", message[2])
-                        )
-        finally:
-            self._stop_workers(running, events)
         if errors:
             detail = "\n".join(
                 f"--- worker [{key}] ---\n{text}"
@@ -1090,99 +1089,3 @@ class ParallelCampaign:
                 f"{sorted(errors)}:\n{detail}"
             )
         return shards
-
-    @staticmethod
-    def _spawn(ctx, spec: dict, events):
-        """Start one variant worker process from its spec."""
-        worker = ctx.Process(
-            target=_variant_worker, args=(spec, events), daemon=True
-        )
-        worker.start()
-        return worker
-
-    @staticmethod
-    def _retire(running: dict[str, object], key: str) -> None:
-        worker = running.pop(key, None)
-        if worker is not None:
-            worker.join(timeout=10)
-
-    @staticmethod
-    def _dead_workers(running: dict[str, object]) -> list[str]:
-        """Variant keys whose worker process has exited, checked via the
-        process sentinels in one ``connection.wait`` poll -- the cheap
-        liveness gate in front of the reap scan."""
-        if not running:
-            return []
-        sentinels = {w.sentinel: k for k, w in running.items()}
-        try:
-            ready = multiprocessing.connection.wait(
-                list(sentinels), timeout=0
-            )
-        except OSError:  # pragma: no cover - sentinel closed under us
-            return [k for k, w in running.items() if not w.is_alive()]
-        return [sentinels[s] for s in ready]
-
-    @staticmethod
-    def _reap_silent_deaths(
-        running: dict[str, object],
-        errors: dict[str, str],
-        dead: list[str],
-        recorder: Recorder | None = None,
-    ) -> None:
-        """A worker killed from outside (OOM, SIGKILL) never posts a
-        message; notice its nonzero exit code so the run fails loudly
-        instead of hanging.  Its shard stays on disk for the next run.
-        ``dead`` is the sentinel-gated candidate list -- only workers
-        whose process has actually exited are examined."""
-        for key in dead:
-            worker = running.get(key)
-            if worker is None:
-                continue
-            worker.join(timeout=1.0)  # let the exit code settle
-            if not worker.is_alive() and worker.exitcode != 0:
-                errors[key] = (
-                    f"worker exited with code {worker.exitcode} without "
-                    f"reporting a result"
-                )
-                del running[key]
-                if recorder is not None:
-                    recorder.emit(
-                        obs_events.WorkerDied(
-                            key,
-                            "killed",
-                            "exited without reporting a result",
-                            exitcode=worker.exitcode,
-                        )
-                    )
-
-    @staticmethod
-    def _stop_workers(
-        running: dict[str, object], events, grace: float = 5.0
-    ) -> None:
-        """Terminate surviving workers without deadlocking on the queue.
-
-        A worker mid-``Queue.put`` when the parent stops pumping can
-        have its feeder thread blocked on a full pipe; the process then
-        cannot flush-and-exit, and one that ignores SIGTERM (a hung MuT
-        loop, the BALLISTA_FAULT_HANG injector) would previously leak
-        past ``join(timeout=5)``.  Drain the queue while the workers
-        shut down so blocked feeders can finish, then escalate to
-        SIGKILL for anything still alive.
-        """
-        if not running:
-            return
-        for worker in running.values():
-            worker.terminate()
-        deadline = time.monotonic() + grace
-        while any(w.is_alive() for w in running.values()):
-            if time.monotonic() >= deadline:
-                break
-            try:
-                events.get(timeout=0.05)
-            except queue.Empty:
-                pass
-        for worker in running.values():
-            worker.join(timeout=0.5)
-            if worker.is_alive():
-                worker.kill()
-                worker.join(timeout=5)

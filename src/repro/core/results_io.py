@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -94,9 +95,11 @@ def _row_to_dict(row) -> dict:
         "codes": bytes(row.codes).hex(),
         "exceptional": bytes(row.exceptional).hex(),
         "error_codes": list(row.error_codes),
-        "details": {str(k): v for k, v in row.details.items()},
+        # Case-index keys repeat in every row: intern them, like the
+        # detail texts and value names results_from_dict interns.
+        "details": {sys.intern(str(k)): v for k, v in row.details.items()},
         "failing_cases": {
-            str(k): list(v) for k, v in row.failing_cases.items()
+            sys.intern(str(k)): list(v) for k, v in row.failing_cases.items()
         },
         "interference": row.interference_crash,
         "planned": row.planned_cases,
@@ -156,9 +159,14 @@ def results_from_dict(document: dict) -> ResultSet:
             codes = bytes.fromhex(row["codes"])
             exceptional = bytes.fromhex(row["exceptional"])
             error_codes = row.get("error_codes") or [0] * len(codes)
-            details = {int(k): v for k, v in row.get("details", {}).items()}
+            # Detail texts and value names repeat across cases, rows and
+            # documents; interning keeps one copy of each in a process
+            # that holds many loaded result sets (a service, its clients).
+            details = {
+                int(k): sys.intern(v) for k, v in row.get("details", {}).items()
+            }
             failing = {
-                int(k): tuple(v)
+                int(k): tuple(map(sys.intern, v))
                 for k, v in row.get("failing_cases", {}).items()
             }
             for index, (code, exc) in enumerate(zip(codes, exceptional)):

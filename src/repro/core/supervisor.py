@@ -19,7 +19,7 @@ mechanisms, layered over :class:`~repro.core.parallel.ParallelCampaign`:
   hangs *inside* the simulation, but a MuT implementation that loops in
   real Python never advances the simulated clock at all.  Workers
   stream throttled ``(variant, "api:name", case_index)`` heartbeats
-  over the existing event queue; a worker whose heartbeat goes stale
+  over their message pipes; a worker whose heartbeat goes stale
   past the real-time deadline is SIGKILLed and restarted from its
   shard.
 
@@ -38,7 +38,6 @@ the final one, preserving the byte-identity guarantee.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pathlib
 import queue
@@ -276,10 +275,10 @@ class SupervisedCampaign(ParallelCampaign):
             return 0.2
         return max(0.05, min(0.2, self.policy.mut_deadline / 4.0))
 
-    def _run_workers(self, specs, progress, recorder: Recorder | None = None):
+    def _run_workers(
+        self, pool, specs, progress, recorder: Recorder | None = None
+    ):
         policy = self.policy
-        ctx = multiprocessing.get_context("spawn")
-        events = ctx.Queue()
         # Specs route by tag (the variant key unless a caller tagged
         # them -- the campaign service runs several jobs that share a
         # variant and tags "<job>/<variant>"); every dict below is
@@ -288,7 +287,6 @@ class SupervisedCampaign(ParallelCampaign):
             (spec.get("tag") or spec["variant"]): spec for spec in specs
         }
         pending = list(specs)
-        running: dict[str, object] = {}
         shards: dict[str, CampaignCheckpoint] = {}
         errors: dict[str, str] = {}
         restarts: dict[str, int] = {}
@@ -306,7 +304,6 @@ class SupervisedCampaign(ParallelCampaign):
         ) -> None:
             """One dead worker: attribute, maybe quarantine, maybe
             relaunch."""
-            running.pop(key, None)
             used = restarts[key] = restarts.get(key, 0) + 1
             emit(obs_events.WorkerDied(key, kind, why, exitcode=exitcode))
             mut_case = inflight.pop(key, None)
@@ -342,127 +339,106 @@ class SupervisedCampaign(ParallelCampaign):
             )
             emit(obs_events.WorkerRestarted(key, used, delay, kind))
 
-        try:
-            while pending or running:
-                if not running and pending and not errors:
-                    # Nothing alive to produce events: sleep out the
-                    # earliest backoff instead of spinning on the queue.
-                    wait = min(
-                        resume_at.get(s.get("tag") or s["variant"], 0.0)
-                        for s in pending
-                    ) - policy.clock()
-                    if wait > 0:
-                        time.sleep(min(wait, 0.05))
-                now = policy.clock()
-                for spec in list(pending):
-                    if len(running) >= self.jobs:
-                        break
-                    key = spec.get("tag") or spec["variant"]
-                    if key in errors or resume_at.get(key, 0.0) > now:
-                        continue
-                    if self._planner is not None and not self._planner.ready(
-                        key
-                    ):
-                        continue  # slice base unknown: predecessor first
-                    pending.remove(spec)
-                    if self._planner is not None:
-                        self._planner.mark_spawned(key)
-                    worker = self._spawn(ctx, spec, events)
-                    running[key] = worker
-                    last_seen[key] = policy.clock()
-                    emit(
-                        obs_events.WorkerSpawned(
-                            key, worker.pid or 0, restarts.get(key, 0) + 1
-                        )
-                    )
-                if not running and not any(
-                    (s.get("tag") or s["variant"]) not in errors
+        while pending or len(pool):
+            if not len(pool) and pending and not errors:
+                # Nothing alive to produce events: sleep out the
+                # earliest backoff instead of spinning on the queue.
+                wait = min(
+                    resume_at.get(s.get("tag") or s["variant"], 0.0)
                     for s in pending
+                ) - policy.clock()
+                if wait > 0:
+                    time.sleep(min(wait, 0.05))
+            now = policy.clock()
+            for spec in list(pending):
+                if pool.full():
+                    break
+                key = spec.get("tag") or spec["variant"]
+                if key in errors or resume_at.get(key, 0.0) > now:
+                    continue
+                if self._planner is not None and not self._planner.ready(
+                    key
                 ):
-                    break  # only budget-exhausted variants remain
-                message = None
-                try:
-                    message = events.get(timeout=self._pump_timeout())
-                except queue.Empty:
-                    pass
-                if message is not None:
-                    kind, key = message[0], message[1]
-                    last_seen[key] = policy.clock()
-                    if kind == "progress":
-                        self._forward_progress(progress, message)
-                    elif kind == "heartbeat":
-                        inflight[key] = (message[2], message[3])
-                    elif kind == "obs":
-                        if recorder is not None:
-                            recorder.record(message[2])
-                    elif kind == "done":
-                        inflight.pop(key, None)
-                        self._retire(running, key)
-                        emit(obs_events.WorkerFinished(key))
-                        # A watchdog race can park a respawn for a
-                        # variant that actually finished: cancel it
-                        # (before the settlement cascade, which may
-                        # legitimately re-queue this very slice as a
-                        # replay).
-                        pending[:] = [
-                            s
-                            for s in pending
-                            if (s.get("tag") or s["variant"]) != key
-                        ]
-                        self._absorb_done(
-                            key,
-                            checkpoint_from_dict(message[2]),
-                            shards,
-                            pending,
-                            recorder,
+                    continue  # slice base unknown: predecessor first
+                pending.remove(spec)
+                if self._planner is not None:
+                    self._planner.mark_spawned(key)
+                pid = pool.run(key, spec)
+                last_seen[key] = policy.clock()
+                emit(
+                    obs_events.WorkerSpawned(
+                        key, pid, restarts.get(key, 0) + 1
+                    )
+                )
+            if not len(pool) and not any(
+                (s.get("tag") or s["variant"]) not in errors for s in pending
+            ):
+                break  # only budget-exhausted variants remain
+            message = None
+            try:
+                message = pool.get(timeout=self._pump_timeout())
+            except queue.Empty:
+                pass
+            if message is not None:
+                kind, key = message[0], message[1]
+                last_seen[key] = policy.clock()
+                if kind == "progress":
+                    self._forward_progress(progress, message)
+                elif kind == "heartbeat":
+                    inflight[key] = (message[2], message[3])
+                elif kind == "obs":
+                    if recorder is not None:
+                        recorder.record(message[2])
+                elif kind == "done":
+                    inflight.pop(key, None)
+                    pool.release(key)
+                    emit(obs_events.WorkerFinished(key))
+                    # A watchdog race can park a respawn for a variant
+                    # that actually finished: cancel it (before the
+                    # settlement cascade, which may legitimately
+                    # re-queue this very slice as a replay).
+                    pending[:] = [
+                        s
+                        for s in pending
+                        if (s.get("tag") or s["variant"]) != key
+                    ]
+                    self._absorb_done(
+                        key,
+                        checkpoint_from_dict(message[2]),
+                        shards,
+                        pending,
+                        recorder,
+                    )
+                else:  # "error": an exception inside the worker
+                    pool.release(key)
+                    handle_death(key, "crashed", f"raised:\n{message[2]}")
+            # Wall-clock watchdog: a silent worker is hung in real time
+            # (the simulated watchdog cannot see it).
+            if policy.mut_deadline is not None:
+                for key in list(pool.pids()):
+                    stale = policy.clock() - last_seen.get(key, now)
+                    if stale > policy.mut_deadline:
+                        mut_case = inflight.get(key)
+                        self._log(
+                            "watchdog_kill", key,
+                            stale_s=round(stale, 3),
+                            mut=mut_case[0] if mut_case else None,
                         )
-                    else:  # "error": an exception inside the worker
-                        worker = running.get(key)
-                        if worker is not None:
-                            worker.join(timeout=10)
+                        pool.kill(key)
                         handle_death(
                             key,
-                            "crashed",
-                            f"raised:\n{message[2]}",
+                            "hung",
+                            f"heartbeat stale {stale:.1f}s "
+                            f"(deadline {policy.mut_deadline}s)",
                         )
-                # Wall-clock watchdog: a silent worker is hung in real
-                # time (the simulated watchdog cannot see it).
-                if policy.mut_deadline is not None:
-                    for key, worker in list(running.items()):
-                        stale = policy.clock() - last_seen.get(key, now)
-                        if stale > policy.mut_deadline:
-                            mut_case = inflight.get(key)
-                            self._log(
-                                "watchdog_kill", key,
-                                stale_s=round(stale, 3),
-                                mut=mut_case[0] if mut_case else None,
-                            )
-                            worker.kill()
-                            worker.join(timeout=10)
-                            handle_death(
-                                key,
-                                "hung",
-                                f"heartbeat stale {stale:.1f}s "
-                                f"(deadline {policy.mut_deadline}s)",
-                            )
-                # Reap workers killed from outside (OOM, SIGKILL).
-                # Sentinel-gated: an idle-but-healthy fleet must not
-                # pay a per-worker liveness scan (or emit death
-                # telemetry) on every pump tick.
-                for key in self._dead_workers(running):
-                    worker = running.get(key)
-                    if worker is None:
-                        continue
-                    worker.join(timeout=1.0)  # let the exit code settle
-                    if not worker.is_alive() and worker.exitcode != 0:
-                        handle_death(
-                            key,
-                            "killed",
-                            f"exited with code {worker.exitcode}",
-                            exitcode=worker.exitcode,
-                        )
-        finally:
-            self._stop_workers(running, events)
+            # Reap workers killed from outside (OOM, SIGKILL).
+            for key, exitcode in pool.reap():
+                handle_death(
+                    key,
+                    "killed",
+                    f"exited with code {exitcode}",
+                    exitcode=exitcode,
+                )
         if errors:
             detail = "\n".join(
                 f"--- worker [{key}] ---\n{text}"

@@ -172,6 +172,9 @@ class StdioMixin:
         if state is None:
             return 0
         if state.open_file is not None:
+            # The original file closes first.  If the reopen below
+            # fails it stays attached but closed, so later calls on
+            # the stream fail with EBADF (see rewind, fseek, fread).
             state.open_file.close()
         path = self._scan_str("freopen", path_addr).decode("latin-1")
         mode = self._parse_mode(mode_addr)
@@ -245,7 +248,11 @@ class StdioMixin:
         if state is None:
             return
         if state.open_file is not None:
-            state.open_file.seek(0, 0)
+            try:
+                state.open_file.seek(0, 0)
+            except FileSystemError as exc:
+                self._fs_error(exc)  # closed by a failed freopen
+                return
         state.ungot.clear()
         state.eof = False
         state.err = False

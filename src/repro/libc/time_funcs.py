@@ -102,7 +102,7 @@ class TimeMixin:
                     self.mem,
                     "time",
                     t_ptr,
-                    now.to_bytes(4, "little"),
+                    (now & _U32).to_bytes(4, "little"),
                 )
                 if not ok:
                     self._set_errno(E.EFAULT)

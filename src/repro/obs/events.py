@@ -215,7 +215,8 @@ class CheckpointWritten(Event):
 
 @dataclass(frozen=True)
 class WorkerSpawned(Event):
-    """A variant worker process started (``attempt`` counts from 1; a
+    """A worker spec started on the pool worker ``pid`` (a warm worker
+    reuses its pid across specs; ``attempt`` counts from 1 and a
     supervised relaunch bumps it)."""
 
     variant: str

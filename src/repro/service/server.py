@@ -22,9 +22,9 @@ Two servers live here:
   where remote *clients* execute the test cases (the 1999 topology).
 * :class:`CampaignService` -- the multi-tenant campaign service: a
   selector-multiplexed control plane where clients merely *submit*
-  campaign specs; the service runs the cases itself in leased worker
-  processes (the :func:`~repro.core.parallel._variant_worker` entry
-  point), journals every job durably, and streams results back through
+  campaign specs; the service runs the cases itself on leased workers
+  of one warm :class:`~repro.core.pool.WorkerPool`, journals every job
+  durably, and streams results back through
   cursor-addressed FETCH pages.  Its survival contract: under chaos
   transports, client disconnect/reconnect, and mid-run worker SIGKILL,
   every campaign completes byte-identical to its serial run.
@@ -32,8 +32,6 @@ Two servers live here:
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import queue as _queue
 import selectors
 import socket
@@ -43,7 +41,8 @@ import time
 from repro.core.crash_scale import CaseCode
 from repro.core.generator import CaseGenerator
 from repro.core.mut import MuTRegistry, default_registry
-from repro.core.parallel import ParallelCampaign, _variant_worker, shard_bounds
+from repro.core.parallel import shard_bounds
+from repro.core.pool import WorkerPool
 from repro.core.results import ResultSet
 from repro.core.results_io import (
     ResultFormatError,
@@ -431,14 +430,16 @@ class CampaignService:
 
     One selector-driven network thread multiplexes every client
     connection (no thread-per-client); one scheduler thread leases job
-    shards to worker processes, pumps their event queue, and finalises
+    shards to worker processes, pumps their messages, and finalises
     completed jobs.  All durable state -- the job queue, per-shard
     checkpoints, merged results -- lives under ``data_dir`` (see
     :mod:`repro.service.queue`), so a SIGTERMed or crashed service picks
     its campaigns back up on restart.
 
     :param data_dir: queue/checkpoint/result directory.
-    :param max_workers: concurrent worker processes across all tenants.
+    :param max_workers: concurrent worker processes across all tenants
+        (the size of the service's one worker pool; workers start on
+        the first lease and stay warm for the service's life).
     :param lease_s: shard lease horizon; a worker silent this long loses
         its shard to a fresh worker (which resumes from the shard
         checkpoint).
@@ -473,11 +474,9 @@ class CampaignService:
             lease_s=lease_s, recorder=recorder, **kwargs
         )
         self._lock = threading.RLock()
-        self._ctx = multiprocessing.get_context("spawn")
-        self._events = self._ctx.Queue()
-        #: (job_id, token) -> live worker process.  The token is the
+        #: Workers keyed by spec tag ``"job/token"``; the token is the
         #: bare variant for unsharded jobs, ``variant#k`` for slices.
-        self._workers: dict[tuple[str, str], object] = {}
+        self._pool = WorkerPool(max_workers)
         #: (job_id, token) -> latest progress beacon (coalesced).
         self._progress: dict[tuple[str, str], dict] = {}
         #: (job_id, token) -> (mtime_ns, size, plan-ordered row list).
@@ -545,11 +544,7 @@ class CampaignService:
         bare variant for unsharded jobs, ``variant#k`` for intra-variant
         slices (fault drills aim their SIGKILLs with this)."""
         with self._lock:
-            return {
-                f"{job_id}/{token}": worker.pid
-                for (job_id, token), worker in self._workers.items()
-                if worker.pid is not None
-            }
+            return self._pool.pids()
 
     # ------------------------------------------------------------------
     # Network thread: the selector loop
@@ -710,6 +705,8 @@ class CampaignService:
         if spec.shards < 1:
             return self._error(f"shards must be >= 1, got {spec.shards}")
         record, created = self.queue.submit(spec)
+        # Wake the scheduler now instead of at its next poll tick.
+        self._pool.post(("wake", ""))
         if created:
             self._emit(
                 obs_events.JobSubmitted(
@@ -777,21 +774,25 @@ class CampaignService:
         if cursor < 0:
             return self._error(f"cursor must be >= 0, got {cursor}")
         max_rows = max(1, min(max_rows, P.MAX_FETCH_ROWS))
+        # Done-ness first, rows second: a slice is marked done only after
+        # its final checkpoint is on disk, so rows read afterwards are
+        # complete.  The other order can pair a shard that finished
+        # meanwhile with rows read just before its last save.
+        finished = all(
+            token in record.shards_done
+            for token in record.spec.shard_tokens(variant)
+        )
         rows = self._shard_rows(record, variant)
         page = rows[cursor : cursor + max_rows]
         next_cursor = cursor + len(page)
-        return {
-            "ok": True,
-            "rows": page,
-            "cursor": next_cursor,
-            "done": (
-                all(
-                    token in record.shards_done
-                    for token in record.spec.shard_tokens(variant)
-                )
-                and next_cursor >= len(rows)
-            ),
-        }
+        done = finished and next_cursor >= len(rows)
+        if done:
+            # A streamed-out shard is not polled again: drop its cached
+            # rows, or a long-lived service would hold every job's
+            # results.  A late re-FETCH reads the checkpoint again.
+            for token in record.spec.shard_tokens(variant):
+                self._row_cache.pop((job_id, token), None)
+        return {"ok": True, "rows": page, "cursor": next_cursor, "done": done}
 
     def _on_queue_stats(self, document: dict) -> dict:
         states: dict[str, int] = {}
@@ -807,7 +808,7 @@ class CampaignService:
                     self.leases.stats.double_grants_refused
                 ),
             }
-            workers = len(self._workers)
+            workers = len(self._pool)
         return {
             "ok": True,
             "jobs": states,
@@ -899,14 +900,14 @@ class CampaignService:
         try:
             while not self._draining.is_set():
                 try:
-                    message = self._events.get(timeout=0.05)
+                    message = self._pool.get(timeout=0.05)
                 except _queue.Empty:
                     message = None
                 with self._lock:
                     while message is not None:
                         self._handle_message(message)
                         try:
-                            message = self._events.get_nowait()
+                            message = self._pool.get(timeout=0)
                         except _queue.Empty:
                             message = None
                     self._reap_silent_deaths()
@@ -923,23 +924,19 @@ class CampaignService:
                 if record.state not in (JOB_DONE, JOB_FAILED)
             )
             self._emit(obs_events.DrainStarted(pending))
-            # Reuse the parallel runner's escalating stop (terminate,
-            # drain the queue so blocked feeders can flush, SIGKILL
-            # stragglers); shard checkpoints on disk keep the progress.
-            by_tag = {
-                f"{job_id}/{token}": worker
-                for (job_id, token), worker in self._workers.items()
-            }
-            ParallelCampaign._stop_workers(by_tag, self._events)
-            for job_id, token in list(self._workers):
+            # Shard checkpoints on disk keep the in-flight progress.
+            for tag in self._pool.pids():
+                job_id, _, token = tag.partition("/")
                 variant, index = split_token(token)
                 self.leases.release(job_id, variant, index)
-            self._workers.clear()
+            self._pool.close()
             self.queue.close()
         self._net_stop.set()
 
     def _handle_message(self, message: tuple) -> None:
         kind, tag = message[0], message[1]
+        if kind == "wake":
+            return  # _on_submit's nudge; the grant pass follows
         job_id, _, token = tag.partition("/")
         variant, index = split_token(token)
         shard = (job_id, token)
@@ -956,13 +953,13 @@ class CampaignService:
                 self.recorder.record(message[2])
         elif kind == "done":
             self.leases.release(job_id, variant, index)
-            self._retire_worker(shard)
+            self._pool.release(tag)
             self._progress.pop(shard, None)
             if self.queue.mark_shard_done(job_id, token):
                 self._finalize_job(job_id)
         elif kind == "error":
             self.leases.release(job_id, variant, index)
-            self._retire_worker(shard)
+            self._pool.release(tag)
             self._emit(
                 obs_events.WorkerDied(token, "crashed", message[2])
             )
@@ -976,50 +973,28 @@ class CampaignService:
                     f"{message[2]}",
                 )
 
-    def _retire_worker(self, shard: tuple[str, str]) -> None:
-        worker = self._workers.pop(shard, None)
-        if worker is not None:
-            worker.join(timeout=10)
-
     def _reap_silent_deaths(self) -> None:
-        """A SIGKILLed worker posts nothing; its process sentinel is the
-        fast path to reassignment (heartbeat-loss expiry is the slow
+        """A SIGKILLed worker posts nothing; the pool's sentinel reap is
+        the fast path to reassignment (heartbeat-loss expiry is the slow
         path, for workers that are alive but wedged)."""
-        if not self._workers:
-            return
-        sentinels = {w.sentinel: s for s, w in self._workers.items()}
-        try:
-            ready = multiprocessing.connection.wait(list(sentinels), timeout=0)
-        except OSError:  # pragma: no cover - sentinel closed under us
-            ready = []
-        for sentinel in ready:
-            shard = sentinels[sentinel]
-            worker = self._workers.get(shard)
-            if worker is None:
-                continue
-            worker.join(timeout=1.0)
-            if worker.is_alive():
-                continue  # pragma: no cover - exit still settling
-            # A worker that reported "done"/"error" was already retired;
-            # reaching here means it died without a word.  Release the
-            # lease so the grant pass reassigns the shard.
-            del self._workers[shard]
-            if worker.exitcode != 0:
+        for tag, exitcode in self._pool.reap():
+            job_id, _, token = tag.partition("/")
+            if exitcode != 0:
                 self._emit(
                     obs_events.WorkerDied(
-                        shard[1],
+                        token,
                         "killed",
                         "exited without reporting a result",
-                        exitcode=worker.exitcode,
+                        exitcode=exitcode,
                     )
                 )
-            job_id, token = shard
+            # Release the lease so the grant pass reassigns the shard.
             variant, index = split_token(token)
             self.leases.release(job_id, variant, index)
 
     def _token_of(self, lease) -> str:
-        """The worker-dict token a lease maps to: bare variant for
-        unsharded jobs, ``variant#k`` when the job slices variants."""
+        """The shard token a lease maps to: bare variant for unsharded
+        jobs, ``variant#k`` when the job slices variants."""
         record = self.queue.get(lease.job_id)
         if record is not None and record.spec.shards > 1:
             return f"{lease.variant}#{lease.shard_index}"
@@ -1027,22 +1002,18 @@ class CampaignService:
 
     def _expire_leases(self) -> None:
         for lease in self.leases.expire_stale():
-            worker = self._workers.pop(
-                (lease.job_id, self._token_of(lease)), None
-            )
-            if worker is not None and worker.is_alive():
-                worker.kill()  # wedged, not dead: make it dead
-                worker.join(timeout=5)
+            # Wedged, not dead: make it dead; a fresh worker takes over.
+            self._pool.kill(f"{lease.job_id}/{self._token_of(lease)}")
 
     def _grant_leases(self) -> None:
         if self._draining.is_set():
             return
         for job_id, token in self.queue.pending_shards():
-            if len(self._workers) >= self.max_workers:
+            if self._pool.full():
                 return
             variant, index = split_token(token)
-            shard = (job_id, token)
-            if shard in self._workers:
+            tag = f"{job_id}/{token}"
+            if tag in self._pool:
                 continue
             if self.leases.holder(job_id, variant, index) is not None:
                 continue  # pragma: no cover - lease without worker
@@ -1078,17 +1049,9 @@ class CampaignService:
                 lease = self.leases.grant(job_id, variant, index)
             except LeaseError:  # pragma: no cover - guarded above
                 continue
-            worker = self._ctx.Process(
-                target=_variant_worker, args=(spec, self._events), daemon=True
-            )
-            worker.start()
-            self._workers[shard] = worker
+            pid = self._pool.run(tag, spec)
             self.queue.mark_running(job_id)
-            self._emit(
-                obs_events.WorkerSpawned(
-                    token, worker.pid or 0, lease.attempt
-                )
-            )
+            self._emit(obs_events.WorkerSpawned(token, pid, lease.attempt))
 
     def _worker_spec(self, record: JobRecord, token: str) -> dict:
         variant, index = split_token(token)

@@ -283,13 +283,13 @@ def test_lambda_in_spawn_args_is_caught(doctored_src):
     smuggled into the payload dies at spawn time in production."""
     edit(
         doctored_src,
-        "core/parallel.py",
-        "target=_variant_worker, args=(spec, events), daemon=True",
-        "target=_variant_worker, args=(spec, events, (lambda: None)), daemon=True",
+        "core/pool.py",
+        "target=_pool_worker, args=(inbox, writer), daemon=True",
+        "target=_pool_worker, args=(inbox, writer, (lambda: None)), daemon=True",
     )
     proc = run_lint(doctored_src)
     assert_caught(proc, "pickle-safety", "PICKLE-UNSAFE")
-    assert "repro/core/parallel.py" in proc.stdout
+    assert "repro/core/pool.py" in proc.stdout
 
 
 def test_out_of_band_wear_mutation_is_caught(doctored_src):

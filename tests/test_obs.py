@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core.parallel import ParallelCampaign
+from repro.core.pool import WorkerPool, _Worker
 from repro.core.supervisor import SupervisedCampaign, SupervisorPolicy
 from repro.obs import (
     DETERMINISTIC_KINDS,
@@ -441,48 +442,45 @@ class TestServiceHooks:
 # ----------------------------------------------------------------------
 
 
-def _flood_and_ignore_sigterm(events):
-    """A worst-case worker for shutdown: its queue feeder is wedged on a
-    full pipe (the parent stopped pumping) and it ignores SIGTERM, the
-    exact shape of a hung MuT loop under BALLISTA_FAULT_HANG."""
+def _flood_and_ignore_sigterm(outbox):
+    """A worst-case worker for shutdown: it is wedged writing to a full
+    pipe (the parent stopped pumping) and it ignores SIGTERM, the exact
+    shape of a hung MuT loop under BALLISTA_FAULT_HANG."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     payload = "x" * 65536
     for index in range(256):
-        events.put(("progress", "flood", payload, index, 256))
+        outbox.send(("progress", "flood", payload, index, 256))
     while True:
         time.sleep(0.05)
 
 
 class TestStopWorkers:
     def test_drains_queue_and_escalates_to_kill(self):
-        """Regression: ``_run_workers``'s finally block used to
-        terminate/join without draining the event queue; a worker with a
-        blocked feeder thread that also ignored SIGTERM leaked past the
-        join timeout.  ``_stop_workers`` must drain and then SIGKILL."""
+        """Regression: the pump loop's shutdown used to terminate/join
+        without draining the event queue; a worker with a blocked feeder
+        thread that also ignored SIGTERM leaked past the join timeout.
+        ``WorkerPool.close`` must drain and then SIGKILL."""
+        pool = WorkerPool(1)
         ctx = multiprocessing.get_context("spawn")
-        events = ctx.Queue()
+        outbox, writer = ctx.Pipe(duplex=False)
         worker = ctx.Process(
-            target=_flood_and_ignore_sigterm, args=(events,), daemon=True
+            target=_flood_and_ignore_sigterm, args=(writer,), daemon=True
         )
         worker.start()
-        # Wait for the flood to begin so the feeder pipe is full.
-        first = events.get(timeout=30)
+        writer.close()
+        pool._busy["flood"] = _Worker(worker, ctx.Queue(), outbox)
+        # Wait for the flood to begin so the pipe is full.
+        first = pool.get(timeout=30)
         assert first[1] == "flood"
-        deadline = time.monotonic() + 30
-        while worker.is_alive() and time.monotonic() < deadline:
-            ParallelCampaign._stop_workers(
-                {"flood": worker}, events, grace=1.0
-            )
-            break
+        pool.close(grace=1.0)
         assert not worker.is_alive(), "hung worker leaked past shutdown"
         assert worker.exitcode == -signal.SIGKILL
-        events.cancel_join_thread()
+        assert len(pool) == 0
 
     def test_noop_on_empty_fleet(self):
-        ctx = multiprocessing.get_context("spawn")
-        events = ctx.Queue()
-        ParallelCampaign._stop_workers({}, events)  # must not raise
-        events.cancel_join_thread()
+        pool = WorkerPool(2)
+        pool.close()  # no worker ever started: must not raise
+        assert pool.pids() == {}
 
 
 class _FakeWorker:
@@ -508,36 +506,56 @@ class _FakeWorker:
         pass
 
 
+def _pool_of(busy=None, idle=()):
+    """A pool holding fake workers, for the reap-gating tests."""
+    ctx = multiprocessing.get_context("spawn")
+    pool = WorkerPool(4)
+    for key, fake in (busy or {}).items():
+        pool._busy[key] = _Worker(fake, ctx.Queue(), None)
+    pool._idle = [_Worker(fake, ctx.Queue(), None) for fake in idle]
+    return pool
+
+
 class TestReapGating:
     def test_dead_workers_empty_for_healthy_fleet(self):
-        running = {"a": _FakeWorker(alive=True), "b": _FakeWorker(alive=True)}
-        assert ParallelCampaign._dead_workers(running) == []
+        pool = _pool_of(
+            {"a": _FakeWorker(alive=True), "b": _FakeWorker(alive=True)}
+        )
+        assert pool.reap() == []
+        assert "a" in pool and "b" in pool
 
     def test_dead_workers_flags_exited_sentinel(self):
-        running = {
-            "a": _FakeWorker(alive=True),
-            "b": _FakeWorker(alive=False, exitcode=-9),
-        }
-        assert ParallelCampaign._dead_workers(running) == ["b"]
+        pool = _pool_of(
+            {
+                "a": _FakeWorker(alive=True),
+                "b": _FakeWorker(alive=False, exitcode=-9),
+            }
+        )
+        assert pool.reap() == [("b", -9)]
+        assert "a" in pool and "b" not in pool
 
     def test_reap_emits_worker_died_only_for_real_deaths(self):
+        """The pump loop turns a reaped death into one ``worker_died``
+        (and a loud failure), and emits nothing for healthy workers."""
         rec = MemoryRecorder()
-        errors = {}
-        running = {"b": _FakeWorker(alive=False, exitcode=-9)}
-        ParallelCampaign._reap_silent_deaths(running, errors, ["b"], rec)
-        assert "b" in errors
+        pool = _pool_of(
+            {"b": _FakeWorker(alive=False, exitcode=-9)},
+            idle=[_FakeWorker(alive=True)],
+        )
+        runner = ParallelCampaign([WIN98], jobs=2)
+        with pytest.raises(RuntimeError, match="exited with code -9"):
+            runner._run_workers(pool, [], None, rec)
         kinds = [r["kind"] for r in rec.records]
         assert kinds == ["worker_died"]
         assert rec.records[0]["death"] == "killed"
         assert rec.records[0]["exitcode"] == -9
 
     def test_clean_exit_is_not_reaped(self):
-        rec = MemoryRecorder()
-        errors = {}
-        running = {"a": _FakeWorker(alive=False, exitcode=0)}
-        ParallelCampaign._reap_silent_deaths(running, errors, ["a"], rec)
-        assert errors == {} and rec.records == []
-        assert "a" in running  # the done-message path retires it
+        """An idle worker that exits (nothing in flight) is dropped from
+        the pool quietly, never reported as a death."""
+        pool = _pool_of(idle=[_FakeWorker(alive=False, exitcode=0)])
+        assert pool.reap() == []
+        assert pool._idle == []
 
     def test_pump_timeout_floor(self):
         """Regression: a 0.2s MuT deadline used to drive the pump poll
