@@ -12,7 +12,12 @@ byte-compares (``cmp``) against the committed copies, and
 prove the optimized hot path still produces the exact bytes the
 unoptimized code did -- result sets, checkpoints, the rendered Table 1,
 and the (wall-clock-stripped) telemetry event stream, in both case and
-sequence mode.
+sequence mode.  ``seq_arena_results.json`` covers the shared-arena
+variants (win98, wince) under fault injection: its plan reaches the
+dirty-arena branch of the failure-atomicity probe and records a
+FAULT_ATOMICITY row, which the winnt-only sequence reference cannot.
+It was generated with the sorted-key JSON residue fingerprint that the
+structural snapshot replaced, so it pins that both classify alike.
 
 Everything here is deterministic: fixed variants, fixed cap, fixed
 sequence seed, and no absolute paths or timestamps in any output.
@@ -35,6 +40,10 @@ from repro.win32.variants import WIN98, WINCE, WINNT
 CAP = 40
 VARIANTS = [WIN98, WINNT, WINCE, LINUX]
 SEQUENCES = 20
+#: The shared-arena sequence reference: win9x/CE machines whose arena
+#: the fault-injected probes see dirty, at sequence seed 0.
+ARENA_VARIANTS = [WIN98, WINCE]
+ARENA_SEQUENCES = 700
 
 
 def _strip_wallclock(jsonl_text: str) -> str:
@@ -58,6 +67,7 @@ COMPRESSED = (
     "checkpoint.json",
     "events.jsonl",
     "seq_results.json",
+    "seq_arena_results.json",
 )
 
 
@@ -104,6 +114,20 @@ def generate(outdir: pathlib.Path, compress: bool = False) -> list[str]:
     (outdir / "seq_table.txt").write_text(
         render_sequence_table(seq_results) + "\n", encoding="utf-8"
     )
+    arena_results = Campaign(
+        ARENA_VARIANTS,
+        config=CampaignConfig(
+            cap=CAP,
+            mode="sequence",
+            sequences=ARENA_SEQUENCES,
+            sequence_seed=0,
+        ),
+    ).run()
+    (outdir / "seq_arena_results.json").write_text(
+        json.dumps(results_to_dict(arena_results), separators=(",", ":"))
+        + "\n",
+        encoding="utf-8",
+    )
     names = [
         "results.json",
         "checkpoint.json",
@@ -111,6 +135,7 @@ def generate(outdir: pathlib.Path, compress: bool = False) -> list[str]:
         "events.jsonl",
         "seq_results.json",
         "seq_table.txt",
+        "seq_arena_results.json",
     ]
     if compress:
         import gzip

@@ -175,11 +175,13 @@ class Campaign:
         self.last_checkpoint: CampaignCheckpoint | None = None
         # Materialise every per-MuT case plan up front: a plan is a pure
         # function of (MuT name, pools, cap), so one list serves all of
-        # the campaign's variants, shard slices, and sequences.  Doing
-        # it at construction keeps plan decoding out of the per-case
-        # loop.  Shard workers skip the warm-up -- their slice may touch
-        # a fraction of the plan, and the per-MuT cache fills lazily.
-        if self._shard is None:
+        # the campaign's variants and shard slices.  Doing it at
+        # construction keeps plan decoding out of the per-case loop.
+        # Shard workers skip the warm-up -- their slice may touch a
+        # fraction of the plan, and the per-MuT cache fills lazily --
+        # and so do sequence campaigns, which never read a case plan
+        # (steps resolve their own value names).
+        if self._shard is None and self.config.mode == "case":
             seen: set[str] = set()
             for personality in self.variants:
                 for mut in self.muts_for(personality):
@@ -325,13 +327,26 @@ class Campaign:
             recorder.emit(
                 obs_events.CampaignStarted(tuple(keys), self.config.cap)
             )
+        #: Sequence plans are a function of the sorted MuT pool, not of
+        #: the variant, so consecutive variants with one pool (win98,
+        #: win98se, winnt and win2000 in the canonical order) share one
+        #: plan list.  The memo lives for this run only and holds one
+        #: list at a time.
+        plans: list = []
+        plans_pool: list | None = None
         for personality in self.variants:
             if self.config.mode == "sequence":
                 from repro.core.sequences import run_variant_sequences
 
+                muts = self.muts_for(personality)
+                pool = sorted((mut.api, mut.name) for mut in muts)
+                if pool != plans_pool:
+                    plans = []  # release the old list before building
+                    plans = self.sequence_plans(personality)
+                    plans_pool = pool
                 run_variant_sequences(
                     personality,
-                    self.sequence_plans(personality),
+                    plans,
                     self.generator,
                     self.config,
                     results,

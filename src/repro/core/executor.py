@@ -136,7 +136,7 @@ class Executor:
             )
 
         faults = self.machine.faults
-        residue_before = self.machine.wear_residue() if inject_fault else ""
+        residue_before = self.machine.wear_residue() if inject_fault else None
         fired_before = faults.fired
         outcome = self._call_under_test(
             ctx,

@@ -155,7 +155,15 @@ class SequencePlanner:
         fault_families: Sequence[str] = FAULT_FAMILIES,
     ) -> None:
         self.pool = sorted(pool, key=lambda m: (m.api, m.name))
-        self.generator = generator
+        #: Per pool MuT, the value names of each parameter, resolved once
+        #: per planner rather than on every planned step.
+        self._value_names = [
+            tuple(
+                tuple(value.name for value in values)
+                for values in generator.pools(mut)
+            )
+            for mut in self.pool
+        ]
         self.count = count
         self.length = length
         self.seed = seed
@@ -181,17 +189,19 @@ class SequencePlanner:
     def plan(self, index: int) -> SequencePlan:
         """The plan for sequence ``index`` (pure; any order, any
         process)."""
-        if not self.pool:
+        pool = self.pool
+        if not pool:
             raise ValueError("cannot plan sequences from an empty MuT pool")
         name = sequence_name(index)
         rng = self._rng(name)
         steps: list[SequenceStep] = []
         muts: list[MuT] = []
         for _ in range(self.length):
-            mut = self.pool[rng.randrange(len(self.pool))]
+            pick = rng.randrange(len(pool))
+            mut = pool[pick]
             values = tuple(
-                pool[rng.randrange(len(pool))].name
-                for pool in self.generator.pools(mut)
+                names[rng.randrange(len(names))]
+                for names in self._value_names[pick]
             )
             steps.append(SequenceStep(mut.api, mut.name, values))
             muts.append(mut)
@@ -311,15 +321,14 @@ def run_variant_sequences(
         )
         result.planned_cases = len(plan.steps)
         if recorder is not None:
-            recorder.record(
-                {
-                    "kind": "sequence_started",
-                    "variant": personality.key,
-                    "sequence": plan.name,
-                    "length": len(plan.steps),
-                    "fault_family": plan.fault_family,
-                    "fault_step": plan.fault_step,
-                }
+            recorder.emit(
+                obs_events.SequenceStarted(
+                    personality.key,
+                    plan.name,
+                    len(plan.steps),
+                    plan.fault_family,
+                    plan.fault_step,
+                )
             )
         rebooted = _run_sequence(
             executor,
@@ -347,16 +356,15 @@ def run_variant_sequences(
             )
         if recorder is not None:
             seq = result.sequence or {}
-            recorder.record(
-                {
-                    "kind": "sequence_finished",
-                    "variant": personality.key,
-                    "sequence": plan.name,
-                    "steps_run": len(result.codes),
-                    "crash_step": seq.get("crash_step"),
-                    "classification": seq.get("classification"),
-                    "sim_ticks": machine.clock.ticks,
-                }
+            recorder.emit(
+                obs_events.SequenceFinished(
+                    personality.key,
+                    plan.name,
+                    len(result.codes),
+                    seq.get("crash_step"),
+                    seq.get("classification"),
+                    machine.clock.ticks,
+                )
             )
         if not config.dirty_machine and not rebooted:
             # Clean mode: every sequence starts on a pristine machine
@@ -461,25 +469,23 @@ def _run_sequence(
                     }
                 )
                 if inject and fault_fired:
-                    recorder.record(
-                        {
-                            "kind": "fault_injected",
-                            "variant": personality.key,
-                            "sequence": plan.name,
-                            "step": index,
-                            "family": plan.fault_family,
-                            "fired": fault_fired,
-                        }
+                    recorder.emit(
+                        obs_events.FaultInjected(
+                            personality.key,
+                            plan.name,
+                            index,
+                            plan.fault_family,
+                            fault_fired,
+                        )
                     )
                 if outcome.code is CaseCode.FAULT_ATOMICITY:
-                    recorder.record(
-                        {
-                            "kind": "atomicity_violation",
-                            "variant": personality.key,
-                            "sequence": plan.name,
-                            "step": index,
-                            "family": plan.fault_family,
-                        }
+                    recorder.emit(
+                        obs_events.AtomicityViolation(
+                            personality.key,
+                            plan.name,
+                            index,
+                            plan.fault_family,
+                        )
                     )
             if outcome.code.is_failure:
                 # The sequence's task (or machine) is gone: Abort and

@@ -195,6 +195,100 @@ class MutQuarantined(Event):
 
 
 @dataclass(frozen=True)
+class SequenceStarted(Event):
+    """One planned call sequence began (sequence mode).  The fault
+    decision is ``None``/``None`` for a clean sequence, else the armed
+    family and the step whose call window it fires in."""
+
+    variant: str
+    sequence: str
+    length: int
+    fault_family: str | None
+    fault_step: int | None
+    kind = "sequence_started"
+
+    def as_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "variant": self.variant,
+            "sequence": self.sequence,
+            "length": self.length,
+            "fault_family": self.fault_family,
+            "fault_step": self.fault_step,
+        }
+
+
+@dataclass(frozen=True)
+class SequenceFinished(Event):
+    """One call sequence ended: steps executed, the Catastrophic step
+    and its attribution (``None`` when nothing crashed), and the
+    simulated clock after the last step."""
+
+    variant: str
+    sequence: str
+    steps_run: int
+    crash_step: int | None
+    classification: str | None
+    sim_ticks: int
+    kind = "sequence_finished"
+
+    def as_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "variant": self.variant,
+            "sequence": self.sequence,
+            "steps_run": self.steps_run,
+            "crash_step": self.crash_step,
+            "classification": self.classification,
+            "sim_ticks": self.sim_ticks,
+        }
+
+
+@dataclass(frozen=True)
+class FaultInjected(Event):
+    """An armed exhaustion fault fired inside a step's call window;
+    ``fired`` counts the forced failures."""
+
+    variant: str
+    sequence: str
+    step: int
+    family: str
+    fired: int
+    kind = "fault_injected"
+
+    def as_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "variant": self.variant,
+            "sequence": self.sequence,
+            "step": self.step,
+            "family": self.family,
+            "fired": self.fired,
+        }
+
+
+@dataclass(frozen=True)
+class AtomicityViolation(Event):
+    """A step failed under an injected fault yet left wear residue: the
+    FAULT_ATOMICITY outcome."""
+
+    variant: str
+    sequence: str
+    step: int
+    family: str | None
+    kind = "atomicity_violation"
+
+    def as_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "variant": self.variant,
+            "sequence": self.sequence,
+            "step": self.step,
+            "family": self.family,
+        }
+
+
+@dataclass(frozen=True)
 class CheckpointWritten(Event):
     """A checkpoint document hit disk.  ``scope`` is a variant key for
     per-variant (shard) saves or ``"campaign"`` for combined saves."""

@@ -25,6 +25,10 @@ from repro.sim.process import Process
 #: Size of the Windows 9x / CE shared system arena we model.
 SHARED_ARENA_SIZE = 0x10000
 
+#: The all-zero arena: telling a clean arena from a dirty one is one
+#: memcmp against this image, not a byte-by-byte walk of 64 KiB.
+_ZERO_ARENA = bytes(SHARED_ARENA_SIZE)
+
 #: Pristine boot filesystems, keyed by ``(case_insensitive, max_files)``
 #: and built once per process -- every boot clones the template instead
 #: of replaying the path-by-path setup.  Template timestamps are all 0,
@@ -180,10 +184,9 @@ class Machine:
             "next_pid": self._next_pid,
             "fs": self._fs_wear(),
         }
-        if self.shared_region is not None and any(self.shared_region.data):
-            wear["shared_arena"] = base64.b64encode(
-                bytes(self.shared_region.data)
-            ).decode("ascii")
+        arena = self._arena_image()
+        if arena is not None:
+            wear["shared_arena"] = base64.b64encode(arena).decode("ascii")
         return wear
 
     def restore_wear(self, wear: dict) -> None:
@@ -204,6 +207,14 @@ class Machine:
             self.shared_region.data[:] = arena.ljust(
                 self.shared_region.size, b"\x00"
             )
+
+    def _arena_image(self) -> bytes | None:
+        """The shared arena's bytes, or ``None`` while it is all zero
+        (and on personalities without one)."""
+        region = self.shared_region
+        if region is None or region.data == _ZERO_ARENA:
+            return None
+        return bytes(region.data)
 
     def _fs_wear(self) -> dict:
         """A depth-first, insertion-ordered image of the filesystem.
@@ -344,10 +355,10 @@ class Machine:
     # Failure-atomicity support
     # ------------------------------------------------------------------
 
-    def wear_residue(self) -> str:
-        """A deterministic fingerprint of the *durable* machine wear --
-        corruption, filesystem image, and shared-arena contents, but not
-        the always-advancing counters (clock, pid).
+    def wear_residue(self) -> tuple:
+        """A snapshot of the *durable* machine wear -- corruption,
+        filesystem image, and shared-arena contents, but not the
+        always-advancing counters (clock, pid) -- compared with ``==``.
 
         The sequence runner snapshots this around a fault-injected call:
         a call that reports failure under injection must leave the
@@ -360,18 +371,16 @@ class Machine:
         ``accessed_at`` bump is not corruption the next step could trip
         over.  Data, metadata, link structure, and the file population
         all count.
-        """
-        import json
 
+        The snapshot is ``(corruption, fs nodes, file count, arena)``:
+        the :meth:`_fs_wear` walk minus ``accessed_at``, and the arena
+        bytes (``None`` while the arena is all zero).  Node flags are
+        always ``bool`` and modes always ``int``, so ``==`` on it gives
+        the same verdict as comparing the sorted-key JSON encodings of
+        the same parts -- at the cost of one walk and one memcmp.
+        """
         fs = self._fs_wear()
-        for node in fs["nodes"]:
+        nodes = fs["nodes"]
+        for node in nodes:
             node.pop("accessed_at", None)
-        parts: dict = {
-            "corruption": self._corruption,
-            "fs": fs,
-        }
-        if self.shared_region is not None and any(self.shared_region.data):
-            parts["shared_arena"] = base64.b64encode(
-                bytes(self.shared_region.data)
-            ).decode("ascii")
-        return json.dumps(parts, sort_keys=True, separators=(",", ":"))
+        return (self._corruption, nodes, fs["file_count"], self._arena_image())

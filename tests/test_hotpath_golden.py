@@ -101,6 +101,7 @@ def regenerated(tmp_path_factory) -> pathlib.Path:
         "events.jsonl",
         "seq_results.json",
         "seq_table.txt",
+        "seq_arena_results.json",
     ],
 )
 def test_fast_path_reproduces_committed_reference(regenerated, name):

@@ -4,6 +4,7 @@ deterministic fault-injection families with failure-atomicity checking,
 and the triage path from a crashed sequence row back to a minimal
 standalone reproducer."""
 
+import base64
 import json
 import os
 
@@ -12,6 +13,7 @@ import pytest
 from repro.analysis.tables import render_sequence_table, render_table1
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.crash_scale import CaseCode
+from repro.core.executor import Executor
 from repro.core.generator import CaseGenerator
 from repro.core.mut import default_registry
 from repro.core.parallel import ParallelCampaign
@@ -53,7 +55,7 @@ from repro.triage import (
     replay_sequence,
     steps_from_sequence_record,
 )
-from repro.win32.variants import WIN98, WINNT
+from repro.win32.variants import WIN95, WIN98, WINCE, WINDOWS_VARIANTS, WINNT
 
 SUBSET = ["GetThreadContext", "CloseHandle", "strcpy", "isalpha", "fclose"]
 JOBS = int(os.environ.get("BALLISTA_JOBS", "2"))
@@ -82,6 +84,22 @@ ATOMIC = SequenceStep(
         "H_NULL",
     ),
 )
+
+
+def json_fingerprint(machine: Machine) -> str:
+    """The residue fingerprint ``Machine.wear_residue`` used to return:
+    sorted-key JSON of corruption, the filesystem image without access
+    times, and the base64 arena while it is not all zero.  Kept here as
+    the oracle the structural snapshot must agree with."""
+    fs = machine._fs_wear()
+    for node in fs["nodes"]:
+        node.pop("accessed_at", None)
+    parts: dict = {"corruption": machine._corruption, "fs": fs}
+    if machine.shared_region is not None and any(machine.shared_region.data):
+        parts["shared_arena"] = base64.b64encode(
+            bytes(machine.shared_region.data)
+        ).decode("ascii")
+    return json.dumps(parts, sort_keys=True, separators=(",", ":"))
 
 
 def seq_config(**overrides):
@@ -261,6 +279,48 @@ class TestSequenceCampaign:
         assert executed_second, "the resumed run must finish the plan"
         assert load_checkpoint(path).complete is True
 
+    def test_variants_sharing_a_pool_share_plans(self, monkeypatch):
+        """One run builds one plan list per distinct MuT pool (the four
+        desktop Win32 variants share one), and every variant's plans
+        equal those a single-variant campaign builds for itself."""
+        import repro.core.sequences as sequences
+
+        config = seq_config(sequences=30)
+        seen: list = []
+        builds = []
+        run_variant = sequences.run_variant_sequences
+        build = Campaign.sequence_plans
+
+        def spy_run(personality, plans, *args, **kwargs):
+            seen.append((personality.key, plans))
+            return run_variant(personality, plans, *args, **kwargs)
+
+        def spy_build(campaign, personality):
+            builds.append(personality.key)
+            return build(campaign, personality)
+
+        monkeypatch.setattr(sequences, "run_variant_sequences", spy_run)
+        monkeypatch.setattr(Campaign, "sequence_plans", spy_build)
+        campaign = Campaign(WINDOWS_VARIANTS, config=config)
+        campaign.run()
+        assert builds == ["win95", "win98", "wince"]
+        shared = dict(seen)
+        desktop = [
+            shared[key] for key in ("win98", "win98se", "winnt", "win2000")
+        ]
+        assert all(plans is desktop[0] for plans in desktop)
+        campaign.run()  # the memo does not outlive a run
+        assert builds == ["win95", "win98", "wince"] * 2
+
+        for personality in WINDOWS_VARIANTS:
+            seen.clear()
+            Campaign([personality], config=config).run()
+            [(key, alone)] = seen
+            assert key == personality.key
+            assert len(alone) == len(shared[key]) == config.sequences
+            for mine, theirs in zip(shared[key], alone):
+                assert mine == theirs
+
     def test_muts_subset_restricts_sequence_pool(self):
         results = Campaign([WIN98], config=seq_config(), muts=SUBSET).run()
         called = {
@@ -298,6 +358,82 @@ class TestFaultAtomicity:
         assert "wear residue" in outcome.detail
         assert "handles exhaustion" in outcome.detail
 
+    @pytest.mark.parametrize(
+        "index, step, family, mut_name",
+        [(603, 0, "handles", "HeapCreate"), (1627, 2, "alloc", "VirtualAlloc")],
+    )
+    def test_arena_residue_is_fault_atomicity(
+        self, monkeypatch, index, step, family, mut_name
+    ):
+        """A failed call whose only residue is in the win9x shared arena
+        (no corruption count, no filesystem change) still breaks failure
+        atomicity."""
+        generator = CaseGenerator(default_types(), cap=40)
+        plan = SequencePlanner(
+            default_registry().for_variant(WIN98), generator, index + 1, 6, seed=0
+        ).plan(index)
+        assert (plan.fault_family, plan.fault_step) == (family, step)
+        assert plan.steps[step].mut_name == mut_name
+
+        probes = []
+        probe = Machine.wear_residue
+
+        def recording_probe(machine):
+            probes.append(probe(machine))
+            return probes[-1]
+
+        monkeypatch.setattr(Machine, "wear_residue", recording_probe)
+        results = run_plans(WIN98, [plan])
+        row = results.get("win98", plan.name, api=SEQUENCE_API)
+        assert len(row.codes) == step + 1
+        assert row.codes[step] == CaseCode.FAULT_ATOMICITY
+        assert f"{family} exhaustion" in row.details[step]
+        (corruption, nodes, files, arena), after = probes
+        assert arena is None and after[3] is not None
+        assert after[:3] == (corruption, nodes, files)
+
+    def test_residue_probe_matches_json_oracle(self, monkeypatch):
+        """At every armed step of a fault-injected run, the structural
+        probe sees a change exactly when the old JSON fingerprint did --
+        clean and dirty arenas alike."""
+        call_under_test = Executor._call_under_test
+        verdicts = []
+        dirty_probes = 0
+
+        def both_probes(self, ctx, mut, args, *rest, inject_fault=False):
+            nonlocal dirty_probes
+            if not inject_fault:
+                return call_under_test(self, ctx, mut, args, *rest)
+            machine = self.machine
+            before = (machine.wear_residue(), json_fingerprint(machine))
+            outcome = call_under_test(
+                self, ctx, mut, args, *rest, inject_fault=True
+            )
+            after = (machine.wear_residue(), json_fingerprint(machine))
+            verdicts.append((before[0] != after[0], before[1] != after[1]))
+            dirty_probes += sum(
+                '"shared_arena"' in oracle for _, oracle in (before, after)
+            )
+            return outcome
+
+        monkeypatch.setattr(Executor, "_call_under_test", both_probes)
+        results = Campaign(
+            [WIN95, WIN98, WINCE, WINNT],
+            config=seq_config(
+                sequences=400, sequence_length=6, sequence_seed=0
+            ),
+        ).run()
+        assert all(probe == oracle for probe, oracle in verdicts)
+        assert dirty_probes > 0
+        assert any(oracle for _, oracle in verdicts)
+        assert len(verdicts) == sum(
+            1
+            for variant in ("win95", "win98", "wince", "winnt")
+            for row in results.for_variant(variant)
+            if row.sequence["fault"] is not None
+            and row.sequence["fault"]["step"] < len(row.codes)
+        )
+
     def test_violation_ends_sequence_and_is_observable(self):
         recorder = MemoryRecorder()
         plan = make_plan([ATOMIC, BENIGN], fault_family="handles", fault_step=0)
@@ -312,9 +448,40 @@ class TestFaultAtomicity:
         assert seq["first_failure"] == 0
         assert seq["crash_step"] is None
 
-        kinds = [r["kind"] for r in recorder.records]
-        assert "fault_injected" in kinds
-        assert "atomicity_violation" in kinds
+        # The typed sequence events keep the wire shape (keys, order and
+        # values) of the plain records they replaced.
+        by_kind = {r["kind"]: list(r.items()) for r in recorder.records}
+        where = [("variant", "win98"), ("sequence", "seq00000")]
+        assert by_kind["sequence_started"] == [
+            ("kind", "sequence_started"),
+            *where,
+            ("length", 2),
+            ("fault_family", "handles"),
+            ("fault_step", 0),
+        ]
+        assert by_kind["fault_injected"] == [
+            ("kind", "fault_injected"),
+            *where,
+            ("step", 0),
+            ("family", "handles"),
+            ("fired", 1),
+        ]
+        assert by_kind["atomicity_violation"] == [
+            ("kind", "atomicity_violation"),
+            *where,
+            ("step", 0),
+            ("family", "handles"),
+        ]
+        finished = dict(by_kind["sequence_finished"])
+        assert by_kind["sequence_finished"] == [
+            ("kind", "sequence_finished"),
+            *where,
+            ("steps_run", 1),
+            ("crash_step", None),
+            ("classification", None),
+            ("sim_ticks", finished["sim_ticks"]),
+        ]
+        assert finished["sim_ticks"] == row.sequence["step_ticks"][-1]
 
         agg = MetricsAggregator()
         for record in recorder.records:
