@@ -40,7 +40,6 @@ from repro.analysis.tables import (
 from repro.core.campaign import default_cap
 from repro.core.parallel import default_jobs, default_shards
 from repro.core.supervisor import (
-    SupervisedCampaign,
     SupervisorPolicy,
     default_max_mut_retries,
     default_max_restarts,
@@ -278,14 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--no-supervise",
-        action="store_true",
-        help=(
-            "run parallel workers without the self-healing supervisor "
-            "(a dead or hung worker then fails the whole campaign)"
-        ),
-    )
-    parser.add_argument(
         "--events",
         metavar="PATH",
         help=(
@@ -501,8 +492,8 @@ def main(argv: list[str] | None = None) -> int:
             dirty_machine=args.dirty_machine,
             fault_families=fault_families,
         )
-        if jobs > 1 and not args.no_supervise:
-            campaign = SupervisedCampaign(
+        if jobs > 1:
+            campaign = ParallelCampaign(
                 variants,
                 config=config,
                 jobs=jobs,
@@ -513,14 +504,6 @@ def main(argv: list[str] | None = None) -> int:
                     max_restarts=args.max_restarts,
                     max_mut_retries=args.max_mut_retries,
                 ),
-            )
-        elif jobs > 1:
-            campaign = ParallelCampaign(
-                variants,
-                config=config,
-                jobs=jobs,
-                shards=args.shards,
-                atlas_path=args.wear_atlas,
             )
         else:
             campaign = Campaign(variants, config=config)

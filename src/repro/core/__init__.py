@@ -24,10 +24,14 @@ from repro.core.campaign import Campaign, CampaignConfig, run_single_case
 from repro.core.crash_scale import CaseCode, Severity
 from repro.core.generator import CaseGenerator, TestCase
 from repro.core.mut import MuT, MuTRegistry, default_registry
-from repro.core.parallel import ParallelCampaign, default_jobs
+from repro.core.parallel import (
+    ParallelCampaign,
+    SupervisedCampaign,
+    default_jobs,
+)
 from repro.core.results import MuTResult, QuarantineRecord, ResultSet
 from repro.core.results_io import load_results, save_results
-from repro.core.supervisor import SupervisedCampaign, SupervisorPolicy
+from repro.core.supervisor import SupervisorPolicy
 from repro.core.types import ParamType, TestValue, TypeRegistry, default_types
 
 __all__ = [

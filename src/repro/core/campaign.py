@@ -133,6 +133,48 @@ def mut_key(mut: MuT) -> str:
     return f"{mut.api}:{mut.name}"
 
 
+def check_resume(
+    resume: CampaignCheckpoint, config: CampaignConfig, keys: list[str]
+) -> None:
+    """Refuse to resume ``resume`` under another cap, variant set or
+    campaign plan: case sequences are a function of the cap and
+    sequence plans of the plan parameters, so a mismatch would splice
+    incompatible plans.  A hand-built checkpoint that omits its cap or
+    plan resumes with a warning (a missing plan is adopted from
+    ``config``).  Every runner calls this before it runs, or spawns,
+    anything."""
+    if not resume.cap:
+        warnings.warn(
+            f"checkpoint does not record its cap; resuming at "
+            f"cap={config.cap} without compatibility checking",
+            stacklevel=3,
+        )
+    elif resume.cap != config.cap:
+        raise ValueError(
+            f"checkpoint was taken at cap={resume.cap}, cannot "
+            f"resume at cap={config.cap}"
+        )
+    if resume.variants is not None and set(resume.variants) != set(keys):
+        raise ValueError(
+            f"checkpoint was taken for variants "
+            f"{sorted(resume.variants)}, cannot resume with "
+            f"{sorted(keys)}"
+        )
+    mine = checkpoint_plan(config)
+    if resume.plan is None and mine is not None:
+        warnings.warn(
+            "checkpoint does not record its campaign plan; resuming in "
+            "sequence mode without compatibility checking",
+            stacklevel=3,
+        )
+        resume.plan = mine
+    elif resume.plan != mine:
+        raise ValueError(
+            f"checkpoint records campaign plan {resume.plan}, "
+            f"cannot resume with {mine}"
+        )
+
+
 class Campaign:
     """Runs MuTs across OS variants and collects results."""
 
@@ -258,50 +300,7 @@ class Campaign:
         if isinstance(resume, (str, pathlib.Path)):
             resume = load_checkpoint(resume)
         if resume is not None:
-            if not resume.cap:
-                # Hand-built checkpoints may omit the cap; the case
-                # sequences are a function of it, so a silent mismatch
-                # would splice incompatible plans.  Warn loudly.
-                warnings.warn(
-                    f"checkpoint does not record its cap; resuming at "
-                    f"cap={self.config.cap} without compatibility "
-                    f"checking",
-                    stacklevel=2,
-                )
-            elif resume.cap != self.config.cap:
-                raise ValueError(
-                    f"checkpoint was taken at cap={resume.cap}, cannot "
-                    f"resume at cap={self.config.cap}"
-                )
-            if resume.variants is not None and set(resume.variants) != set(
-                keys
-            ):
-                raise ValueError(
-                    f"checkpoint was taken for variants "
-                    f"{sorted(resume.variants)}, cannot resume with "
-                    f"{sorted(keys)}"
-                )
-            mine = checkpoint_plan(self.config)
-            if resume.plan != mine and not (
-                resume.plan is None and mine is not None
-            ):
-                # The sequence plan is a function of these parameters
-                # exactly as the case plan is of the cap; a mismatch
-                # would splice incompatible plans.
-                raise ValueError(
-                    f"checkpoint records campaign plan {resume.plan}, "
-                    f"cannot resume with {mine}"
-                )
-            if resume.plan is None and mine is not None:
-                # Hand-built checkpoints may omit the plan block; as
-                # with a missing cap, warn rather than refuse.
-                warnings.warn(
-                    "checkpoint does not record its campaign plan; "
-                    "resuming in sequence mode without compatibility "
-                    "checking",
-                    stacklevel=2,
-                )
-                resume.plan = mine
+            check_resume(resume, self.config, keys)
             checkpoint = resume
         else:
             checkpoint = CampaignCheckpoint(

@@ -21,13 +21,15 @@ per-variant shards into one :class:`CampaignCheckpoint` whose serialised
 form is byte-identical to the serial run's -- result rows serialise
 sorted by key, so completion order cannot leak into the output.
 
-Checkpoint/resume semantics match the serial runner: with a
-``checkpoint_path`` each worker checkpoints its own shard
-(``<path>.<variant>.shard``) and the parent writes the combined
-checkpoint (and removes the shards) once every variant finishes.  On
-restart, a variant whose shard survived a killed worker resumes from the
-shard; otherwise its slice is split out of the combined ``resume``
-checkpoint.  Completed MuTs are skipped per variant either way.
+Checkpoint/resume semantics match the serial runner: each worker
+checkpoints its own shard (``<path>.<variant>.shard``) and the parent
+writes the combined checkpoint (and removes the shards) once every
+variant finishes.  On restart, a variant whose shard survived a killed
+worker resumes from the shard; otherwise its slice is split out of the
+combined ``resume`` checkpoint.  Completed MuTs are skipped per variant
+either way.  Without a ``checkpoint_path`` the shards live in a
+temporary directory removed when the run ends: the supervision loop
+(see :mod:`repro.core.supervisor`) restarts dead workers from them.
 """
 
 from __future__ import annotations
@@ -35,16 +37,24 @@ from __future__ import annotations
 import os
 import pathlib
 import queue
+import shutil
 import signal
+import tempfile
 import time
 import traceback
 import warnings
 from typing import Iterable, Sequence
 
 from repro.core.atlas import load_atlas, save_atlas
-from repro.core.campaign import Campaign, CampaignConfig, ProgressFn
+from repro.core.campaign import (
+    Campaign,
+    CampaignConfig,
+    ProgressFn,
+    check_resume,
+)
 from repro.core.pool import WorkerPool
 from repro.core.results import ResultSet
+from repro.core.supervisor import SupervisorPolicy
 from repro.obs import events as obs_events
 from repro.obs.recorder import Recorder
 from repro.core.results_io import (
@@ -528,11 +538,16 @@ class _SeamPlanner:
 
 
 class ParallelCampaign:
-    """Drop-in campaign runner that fans variants out across processes.
+    """Drop-in campaign runner that fans variants out across supervised
+    worker processes.
 
     Mirrors :meth:`Campaign.run`'s signature and semantics; the merged
     result set (and the rendered tables built from it) is byte-identical
-    to the serial run at the same cap.
+    to the serial run at the same cap, also when restarts healed the
+    run.  Dead workers relaunch from their shards, stale-heartbeat
+    workers are killed and relaunched, and poison MuTs are quarantined
+    instead of failing the campaign (see :mod:`repro.core.supervisor`).
+    The decision trail lands in :attr:`supervision_log`.
 
     :param variants: OS personalities to test (must be among
         :data:`repro.ALL_VARIANTS` -- workers rebuild them by key).
@@ -542,7 +557,8 @@ class ParallelCampaign:
     :param jobs: concurrent worker processes (default: one per
         schedulable slice -- ``variants * shards`` -- capped at the core
         count).  ``jobs=1`` runs the serial :class:`Campaign`
-        in-process, skipping spawn overhead.
+        in-process, skipping spawn overhead; there is no worker to
+        supervise.
     :param shards: slices per variant (default 1: one worker per
         variant, the pre-sharding behaviour).  With ``shards > 1`` each
         variant's plan is cut into that many contiguous slices and all
@@ -556,6 +572,10 @@ class ParallelCampaign:
         startup, updated with settled seams after a successful run.
         Purely an accelerator; results are byte-identical with or
         without it.
+    :param policy: restart, watchdog and quarantine knobs (default: a
+        :class:`SupervisorPolicy` read from the ``BALLISTA_*``
+        environment).  ``max_restarts=0, mut_deadline=None`` fails the
+        run on the first worker death.
     """
 
     def __init__(
@@ -566,6 +586,8 @@ class ParallelCampaign:
         jobs: int | None = None,
         shards: int | None = None,
         atlas_path: str | pathlib.Path | None = None,
+        *,
+        policy: SupervisorPolicy | None = None,
     ) -> None:
         self.variants = list(variants)
         self.config = config or CampaignConfig()
@@ -581,7 +603,12 @@ class ParallelCampaign:
         )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        self.policy = policy or SupervisorPolicy()
         self.last_checkpoint: CampaignCheckpoint | None = None
+        #: Chronological supervision events of the last :meth:`run`.
+        self.supervision_log: list[dict] = []
+        #: The combined checkpoint the log is persisted onto mid-run.
+        self._live_checkpoint_path: str | pathlib.Path | None = None
         #: Settlement planner for the current sharded run (None when
         #: shards == 1 or between runs).
         self._planner: _SeamPlanner | None = None
@@ -606,12 +633,8 @@ class ParallelCampaign:
         and resume contract -- it holds unchanged here, with shards as
         described in the module docstring.  ``recorder`` receives the
         workers' forwarded campaign events plus the parent's operational
-        events (worker spawns/deaths, merges)."""
-        keys = [p.key for p in self.variants]
-        if isinstance(resume, (str, pathlib.Path)):
-            resume = load_checkpoint(resume)
-        if resume is not None:
-            self._validate_resume(resume, keys)
+        events (worker spawns, deaths and restarts, merges)."""
+        self.supervision_log = []
         if self.jobs == 1:
             campaign = Campaign(
                 self.variants, config=self.config, muts=self._muts
@@ -625,11 +648,18 @@ class ParallelCampaign:
             )
             self.last_checkpoint = campaign.last_checkpoint
             return results
+        keys = [p.key for p in self.variants]
+        if isinstance(resume, (str, pathlib.Path)):
+            resume = load_checkpoint(resume)
+        if resume is not None:
+            # Fail an incompatible checkpoint before any worker spawns.
+            check_resume(resume, self.config, keys)
         if recorder is not None:
             recorder.emit(
                 obs_events.CampaignStarted(tuple(keys), self.config.cap)
             )
 
+        tempdir = None
         if checkpoint_path is not None:
             # Write the combined document up front (the serial runner's
             # file exists from its first periodic save).  A run killed
@@ -649,31 +679,39 @@ class ParallelCampaign:
                 plan=checkpoint_plan(self.config),
             )
             save_checkpoint(initial, checkpoint_path)
-        shard_base = self._shard_base(checkpoint_path)
-        if self.shards > 1:
-            specs, synthetic = self._build_shard_specs(
-                resume,
-                shard_base,
-                checkpoint_every,
-                events=recorder is not None,
-            )
+            shard_base = checkpoint_path
         else:
-            specs = self._build_specs(
-                resume,
-                shard_base,
-                checkpoint_every,
-                events=recorder is not None,
-            )
-            synthetic = []
+            # Restart-from-shard needs shards even when the caller did
+            # not ask for a checkpoint file.
+            tempdir = tempfile.mkdtemp(prefix="ballista-supervised-")
+            shard_base = os.path.join(tempdir, "campaign.ckpt")
+        deadline = self.policy.mut_deadline
+        common = {
+            "muts": self._muts,
+            "config": config_spec_fields(self.config),
+            "checkpoint_every": checkpoint_every,
+            # Beacons must be several times faster than the deadline
+            # that judges them.
+            "heartbeat_interval": (
+                1.0
+                if deadline is None
+                else max(0.01, min(1.0, deadline / 5.0))
+            ),
+            "events": recorder is not None,
+        }
+        self._live_checkpoint_path = checkpoint_path
         pool = WorkerPool(self.jobs)
         try:
-            shards = self._run_workers(pool, specs, progress, recorder)
             if self.shards > 1:
-                entries = synthetic + [shards[spec["tag"]] for spec in specs]
+                specs, synthetic = self._build_shard_specs(
+                    resume, shard_base, common
+                )
             else:
-                entries = [shards[key] for key in keys]
+                specs = self._build_specs(resume, shard_base, common)
+                synthetic = []
+            shards = self._run_workers(pool, specs, progress, recorder)
             merged = merge_checkpoints(
-                entries,
+                synthetic + [shards[spec["tag"]] for spec in specs],
                 cap=self.config.cap,
                 variants=keys,
             )
@@ -690,19 +728,19 @@ class ParallelCampaign:
                             len(merged.results),
                         )
                     )
-            if shard_base is not None:
-                for spec in specs:
-                    if spec["shard_path"] is not None:
-                        try:
-                            os.remove(spec["shard_path"])
-                        except OSError:  # pragma: no cover - already gone
-                            pass
+            for spec in specs:
+                try:
+                    os.remove(spec["shard_path"])
+                except OSError:  # pragma: no cover - already gone
+                    pass
         finally:
             pool.close()
             self._planner = None
             self._progress_ctx = None
             self._plans = {}
-            self._release_shard_base()
+            self._live_checkpoint_path = None
+            if tempdir is not None:
+                shutil.rmtree(tempdir, ignore_errors=True)
         if recorder is not None:
             recorder.emit(
                 obs_events.CampaignFinished(merged.results.total_cases())
@@ -711,54 +749,14 @@ class ParallelCampaign:
 
     # ------------------------------------------------------------------
 
-    def _shard_base(
-        self, checkpoint_path: str | pathlib.Path | None
-    ) -> str | pathlib.Path | None:
-        """Where workers checkpoint their shards.  The base runner only
-        shards when the caller asked for checkpoints; the supervisor
-        overrides this (restart-from-shard needs shards even when the
-        user did not request a checkpoint file)."""
-        return checkpoint_path
-
-    def _release_shard_base(self) -> None:
-        """Hook for subclasses that fabricate a temporary shard base."""
-
-    def _heartbeat_interval(self) -> float:
-        """Worker-side throttle for heartbeat events.  The base runner
-        has no watchdog, so a slow beacon is plenty."""
-        return 1.0
-
-    def _validate_resume(
-        self, resume: CampaignCheckpoint, keys: list[str]
-    ) -> None:
-        """The serial runner's compatibility checks, applied up front so
-        an incompatible checkpoint fails before any worker spawns."""
-        if not resume.cap:
-            warnings.warn(
-                f"checkpoint does not record its cap; resuming at "
-                f"cap={self.config.cap} without compatibility checking",
-                stacklevel=3,
-            )
-        elif resume.cap != self.config.cap:
-            raise ValueError(
-                f"checkpoint was taken at cap={resume.cap}, cannot "
-                f"resume at cap={self.config.cap}"
-            )
-        if resume.variants is not None and set(resume.variants) != set(keys):
-            raise ValueError(
-                f"checkpoint was taken for variants "
-                f"{sorted(resume.variants)}, cannot resume with "
-                f"{sorted(keys)}"
-            )
-
     def _build_specs(
         self,
         resume: CampaignCheckpoint | None,
-        shard_base: str | pathlib.Path | None,
-        checkpoint_every: int,
-        events: bool = False,
+        shard_base: str | pathlib.Path,
+        common: dict,
     ) -> list[dict]:
-        config_fields = config_spec_fields(self.config)
+        """One worker spec per variant: ``common`` fields plus its tag
+        (the variant key), shard path and slice of ``resume``."""
         specs = []
         for personality in self.variants:
             key = personality.key
@@ -768,33 +766,26 @@ class ParallelCampaign:
                 shard.complete = False
                 resume_doc = checkpoint_to_dict(shard)
             specs.append(
-                {
-                    "variant": key,
-                    "muts": self._muts,
-                    "config": config_fields,
-                    "shard_path": (
-                        None
-                        if shard_base is None
-                        else str(shard_path(shard_base, key))
-                    ),
-                    "checkpoint_every": checkpoint_every,
-                    "resume": resume_doc,
-                    "quarantine": {},
-                    "heartbeat_interval": self._heartbeat_interval(),
-                    "events": events,
-                }
+                dict(
+                    common,
+                    variant=key,
+                    tag=key,
+                    shard_path=str(shard_path(shard_base, key)),
+                    resume=resume_doc,
+                    quarantine={},
+                )
             )
         return specs
 
     def _build_shard_specs(
         self,
         resume: CampaignCheckpoint | None,
-        shard_base: str | pathlib.Path | None,
-        checkpoint_every: int,
-        events: bool = False,
+        shard_base: str | pathlib.Path,
+        common: dict,
     ) -> tuple[list[dict], list[CampaignCheckpoint]]:
         """Cut each variant's plan into ``self.shards`` contiguous
-        slices and build one worker spec per incomplete slice.
+        slices and build one worker spec (``common`` fields plus the
+        slice's own) per incomplete slice.
 
         Returns ``(specs, synthetic)``: the specs to schedule plus
         pre-settled checkpoint pieces for slices a resume document
@@ -802,7 +793,6 @@ class ParallelCampaign:
         Also primes the run's :class:`_SeamPlanner` and the per-variant
         progress aggregation state.
         """
-        config_fields = config_spec_fields(self.config)
         atlas = (
             load_atlas(self.atlas_path) if self.atlas_path is not None else None
         )
@@ -882,22 +872,14 @@ class ParallelCampaign:
                     if atlas is not None:
                         base = atlas.seam(key, plan, self.config.cap, start)
                     known = index == 0 or base is not None
-                spec = {
-                    "variant": key,
-                    "tag": tag,
-                    "muts": self._muts,
-                    "config": config_fields,
-                    "shard_path": (
-                        None
-                        if shard_base is None
-                        else str(shard_path(shard_base, tag))
-                    ),
-                    "checkpoint_every": checkpoint_every,
-                    "resume": resume_doc,
-                    "quarantine": {},
-                    "heartbeat_interval": self._heartbeat_interval(),
-                    "events": events,
-                    "shard": {
+                spec = dict(
+                    common,
+                    variant=key,
+                    tag=tag,
+                    shard_path=str(shard_path(shard_base, tag)),
+                    resume=resume_doc,
+                    quarantine={},
+                    shard={
                         "variant": key,
                         "index": index,
                         "start": start,
@@ -905,7 +887,7 @@ class ParallelCampaign:
                         "resumed": resumed,
                         "base_wear": base,
                     },
-                }
+                )
                 specs.append(spec)
                 planner.add_spec(spec, known)
                 spans[tag] = (start, stop)
@@ -933,19 +915,6 @@ class ParallelCampaign:
                     )
         save_atlas(atlas, self.atlas_path)
 
-    def _admit(self, pending: list[dict]) -> dict | None:
-        """Pop the first schedulable spec: without a planner that is
-        simply the queue head; with one, the first spec whose slice base
-        is known (work-stealing order -- a slice of any variant)."""
-        planner = self._planner
-        for index, spec in enumerate(pending):
-            tag = spec.get("tag") or spec["variant"]
-            if planner is None or planner.ready(tag):
-                if planner is not None:
-                    planner.mark_spawned(tag)
-                return pending.pop(index)
-        return None
-
     def _absorb_done(
         self,
         key: str,
@@ -970,14 +939,33 @@ class ParallelCampaign:
             pending.append(spec)
 
     def _note_replay(self, spec: dict, recorder: Recorder | None) -> None:
+        """Replays are settlement corrections, not faults: they ride the
+        supervision log for the operator but never burn the slice's
+        restart budget."""
+        variant, index = spec["variant"], spec["shard"]["index"]
+        why = "speculative base wear was stale"
         if recorder is not None:
-            recorder.emit(
-                obs_events.ShardReplayed(
-                    spec["variant"],
-                    spec["shard"]["index"],
-                    "speculative base wear was stale",
-                )
-            )
+            recorder.emit(obs_events.ShardReplayed(variant, index, why))
+        self._log("shard_replay", variant, index=index, why=why)
+
+    def _log(self, event: str, variant: str, **detail) -> None:
+        self.supervision_log.append(
+            {"event": event, "variant": variant, **detail}
+        )
+        path = self._live_checkpoint_path
+        if path is not None and os.path.exists(path):
+            # Persist the fault history onto the in-flight combined
+            # document (written before any worker spawned) so an
+            # operator resuming an interrupted run sees what the
+            # supervisor already survived.  The *final* checkpoint is
+            # rebuilt from the merged shards with an empty supervision
+            # log, keeping byte-identity with an undisturbed run.
+            try:
+                live = load_checkpoint(path)
+            except (OSError, ResultFormatError):  # pragma: no cover
+                return
+            live.supervision = list(self.supervision_log)
+            save_checkpoint(live, path)
 
     def _forward_progress(
         self, progress: ProgressFn | None, message: tuple
@@ -1004,6 +992,16 @@ class ParallelCampaign:
         started = sum(counts.values())
         progress(variant, mut, started - 1, ctx["totals"][variant])
 
+    def _pump_timeout(self) -> float:
+        """Pipe poll interval.  Floored at 50 ms: a tight MuT deadline
+        used to drive this down to 10 ms, turning the pump into a busy
+        loop that spent its time on liveness scans instead of events.
+        The watchdog only needs the poll to be comfortably shorter than
+        the deadline, not a fixed fraction of it."""
+        if self.policy.mut_deadline is None:
+            return 0.2
+        return max(0.05, min(0.2, self.policy.mut_deadline / 4.0))
+
     def _run_workers(
         self,
         pool: WorkerPool,
@@ -1012,80 +1010,183 @@ class ParallelCampaign:
         recorder: Recorder | None = None,
     ) -> dict[str, CampaignCheckpoint]:
         """Run the specs on at most ``self.jobs`` pooled workers, pump
-        their messages, and collect one finished shard per spec."""
+        their messages, and collect one finished shard per spec tag,
+        healing dead and hung workers under :attr:`policy`."""
+        policy = self.policy
+        planner = self._planner
+        spec_by_key = {spec["tag"]: spec for spec in specs}
         pending = list(specs)
         shards: dict[str, CampaignCheckpoint] = {}
         errors: dict[str, str] = {}
+        restarts: dict[str, int] = {}
+        strikes: dict[tuple[str, str], int] = {}
+        #: tag -> (unit, case) of the last heartbeat of the running spec.
+        inflight: dict[str, tuple[str, int]] = {}
+        last_seen: dict[str, float] = {}
+        resume_at: dict[str, float] = {}
+
+        def emit(event) -> None:
+            if recorder is not None:
+                recorder.emit(event)
+
+        def handle_death(
+            key: str, kind: str, why: str, exitcode: int | None = None
+        ) -> None:
+            """One dead worker: attribute, maybe quarantine, maybe
+            relaunch."""
+            used = restarts[key] = restarts.get(key, 0) + 1
+            emit(obs_events.WorkerDied(key, kind, why, exitcode=exitcode))
+            mut_case = inflight.pop(key, None)
+            if mut_case is not None:
+                mut, case_index = mut_case
+                count = strikes[(key, mut)] = strikes.get((key, mut), 0) + 1
+                if count > policy.max_mut_retries:
+                    reason = (
+                        f"{kind} its worker {count} times "
+                        f"(last at case {case_index}); quarantined after "
+                        f"{policy.max_mut_retries} retries"
+                    )
+                    spec_by_key[key]["quarantine"][mut] = reason
+                    self._log(
+                        "quarantine", key, mut=mut, strikes=count, why=reason
+                    )
+            if used > policy.max_restarts:
+                errors[key] = (
+                    f"restart budget exhausted ({policy.max_restarts}) "
+                    f"after worker {why}"
+                )
+                self._log(
+                    "budget_exhausted", key, restarts=used - 1, why=why
+                )
+                emit(obs_events.BudgetExhausted(key, used - 1, why))
+                return
+            delay = policy.backoff(used - 1)
+            resume_at[key] = policy.clock() + delay
+            pending.append(spec_by_key[key])
+            self._log(
+                "restart", key, attempt=used, backoff_s=delay,
+                kind=kind, why=why,
+            )
+            emit(obs_events.WorkerRestarted(key, used, delay, kind))
+
+        def runnable(spec: dict) -> bool:
+            """Not given up on, and (sharded) its slice base is known."""
+            key = spec["tag"]
+            return key not in errors and (
+                planner is None or planner.ready(key)
+            )
+
         while pending or len(pool):
-            while not pool.full():
-                spec = self._admit(pending)
-                if spec is None:
+            if not len(pool) and pending and not errors:
+                # Nothing alive to produce events: sleep out the
+                # earliest backoff instead of spinning on the pipes.
+                wait = min(
+                    resume_at.get(s["tag"], 0.0) for s in pending
+                ) - policy.clock()
+                if wait > 0:
+                    time.sleep(min(wait, 0.05))
+            now = policy.clock()
+            for spec in list(pending):
+                if pool.full():
                     break
-                pid = pool.run(spec.get("tag") or spec["variant"], spec)
-                if recorder is not None:
-                    recorder.emit(
-                        obs_events.WorkerSpawned(spec["variant"], pid, 1)
+                key = spec["tag"]
+                if resume_at.get(key, 0.0) > now or not runnable(spec):
+                    continue
+                pending.remove(spec)
+                if planner is not None:
+                    planner.mark_spawned(key)
+                pid = pool.run(key, spec)
+                last_seen[key] = policy.clock()
+                emit(
+                    obs_events.WorkerSpawned(
+                        key, pid, restarts.get(key, 0) + 1
                     )
-            if pending and not len(pool):
-                # Defensive: every unschedulable slice waits on a
-                # predecessor, so something must always be running.
-                raise RuntimeError(
-                    "sharded campaign stalled: no runnable slices"
                 )
+            if not len(pool) and not any(map(runnable, pending)):
+                # Nothing runs and nothing left can: the rest were given
+                # up on, or wait on a slice that was.
+                break
+            message = None
             try:
-                message = pool.get(timeout=0.2)
+                message = pool.get(timeout=self._pump_timeout())
             except queue.Empty:
-                # A worker killed from outside (OOM, SIGKILL) never
-                # posts a message; fail its spec loudly instead of
-                # hanging.  Its shard stays on disk for the next run.
-                for key, exitcode in pool.reap():
-                    errors[key] = (
-                        f"worker exited with code {exitcode} without "
-                        f"reporting a result"
-                    )
+                pass
+            if message is not None:
+                kind, key = message[0], message[1]
+                last_seen[key] = policy.clock()
+                if kind == "progress":
+                    self._forward_progress(progress, message)
+                elif kind == "heartbeat":
+                    inflight[key] = (message[2], message[3])
+                elif kind == "obs":
                     if recorder is not None:
-                        recorder.emit(
-                            obs_events.WorkerDied(
-                                key,
-                                "killed",
-                                "exited without reporting a result",
-                                exitcode=exitcode,
-                            )
-                        )
-                continue
-            kind, key = message[0], message[1]
-            if kind == "progress":
-                self._forward_progress(progress, message)
-            elif kind == "heartbeat":
-                pass  # liveness beacons; only the supervisor consumes them
-            elif kind == "obs":
-                if recorder is not None:
-                    recorder.record(message[2])
-            elif kind == "done":
-                pool.release(key)
-                if recorder is not None:
-                    recorder.emit(obs_events.WorkerFinished(key))
-                self._absorb_done(
-                    key,
-                    checkpoint_from_dict(message[2]),
-                    shards,
-                    pending,
-                    recorder,
-                )
-            else:  # "error"
-                errors[key] = message[2]
-                pool.release(key)
-                if recorder is not None:
-                    recorder.emit(
-                        obs_events.WorkerDied(key, "crashed", message[2])
+                        recorder.record(message[2])
+                elif kind == "done":
+                    inflight.pop(key, None)
+                    pool.release(key)
+                    emit(obs_events.WorkerFinished(key))
+                    # A watchdog race can park a respawn for a variant
+                    # that actually finished: cancel it (before the
+                    # settlement cascade, which may legitimately
+                    # re-queue this very slice as a replay).
+                    pending[:] = [s for s in pending if s["tag"] != key]
+                    self._absorb_done(
+                        key,
+                        checkpoint_from_dict(message[2]),
+                        shards,
+                        pending,
+                        recorder,
                     )
+                elif key not in pool:
+                    pass  # sent before its worker was killed or reaped
+                elif key in inflight:  # "error" raised inside a unit
+                    pool.release(key)
+                    handle_death(key, "crashed", f"raised:\n{message[2]}")
+                else:
+                    # "error" before the spec's first unit (resume
+                    # validation, a stale shard): deterministic, so a
+                    # relaunch would only fail the same way.
+                    pool.release(key)
+                    errors[key] = message[2]
+                    emit(obs_events.WorkerDied(key, "crashed", message[2]))
+            # Wall-clock watchdog: a silent worker is hung in real time
+            # (the simulated watchdog cannot see it).
+            if policy.mut_deadline is not None:
+                for key in list(pool.pids()):
+                    stale = policy.clock() - last_seen.get(key, now)
+                    if stale > policy.mut_deadline:
+                        mut_case = inflight.get(key)
+                        self._log(
+                            "watchdog_kill", key,
+                            stale_s=round(stale, 3),
+                            mut=mut_case[0] if mut_case else None,
+                        )
+                        pool.kill(key)
+                        handle_death(
+                            key,
+                            "hung",
+                            f"heartbeat stale {stale:.1f}s "
+                            f"(deadline {policy.mut_deadline}s)",
+                        )
+            # Reap workers killed from outside (OOM, SIGKILL).
+            for key, exitcode in pool.reap():
+                handle_death(
+                    key,
+                    "killed",
+                    f"exited with code {exitcode}",
+                    exitcode=exitcode,
+                )
         if errors:
             detail = "\n".join(
                 f"--- worker [{key}] ---\n{text}"
                 for key, text in sorted(errors.items())
             )
             raise RuntimeError(
-                f"parallel campaign worker(s) failed for "
-                f"{sorted(errors)}:\n{detail}"
+                f"parallel campaign gave up on {sorted(errors)}:\n{detail}"
             )
         return shards
+
+
+#: The runner's former name, from when supervision was an opt-in
+#: subclass; the benchmark's ``case_sharded`` workload still uses it.
+SupervisedCampaign = ParallelCampaign

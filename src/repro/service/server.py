@@ -207,29 +207,24 @@ class BallistaServer:
         self,
         jobs: int | None = None,
         progress=None,
-        supervise: bool = True,
         policy=None,
     ) -> ResultSet:
         """Run the campaign in-process when no remote clients will
         connect -- the local fallback for a degraded fleet.
 
-        Variants fan out across worker processes exactly like
-        :class:`~repro.core.parallel.ParallelCampaign` (``jobs`` as
-        there), producing the same result set remote clients would have
-        reported.  By default the workers run under the self-healing
-        :class:`~repro.core.supervisor.SupervisedCampaign` (tunable via
-        ``policy``, a :class:`~repro.core.supervisor.SupervisorPolicy`);
-        pass ``supervise=False`` for the bare runner.  A server built
-        with a custom MuT/type registry falls back to the serial
-        :class:`~repro.core.campaign.Campaign`: the registries' call
-        implementations are closures and cannot cross the spawn
-        boundary.  Completed variants are marked so :meth:`join`
-        returns immediately for them.
+        Variants fan out across self-healing worker processes exactly
+        like :class:`~repro.core.parallel.ParallelCampaign` (``jobs``
+        and ``policy``, a :class:`~repro.core.supervisor.SupervisorPolicy`,
+        as there), producing the same result set remote clients would
+        have reported.  A server built with a custom MuT/type registry
+        falls back to the serial :class:`~repro.core.campaign.Campaign`:
+        the registries' call implementations are closures and cannot
+        cross the spawn boundary.  Completed variants are marked so
+        :meth:`join` returns immediately for them.
         """
         from repro.core.campaign import Campaign, CampaignConfig
         from repro.core.mut import default_registry
         from repro.core.parallel import ParallelCampaign
-        from repro.core.supervisor import SupervisedCampaign
         from repro.core.types import default_types
 
         variants = list(self._variants.values())
@@ -238,12 +233,10 @@ class BallistaServer:
             self.registry is default_registry()
             and self.types is default_types()
         )
-        if stock and supervise:
-            runner = SupervisedCampaign(
+        if stock:
+            runner = ParallelCampaign(
                 variants, config=config, jobs=jobs, policy=policy
             )
-        elif stock:
-            runner = ParallelCampaign(variants, config=config, jobs=jobs)
         else:
             runner = Campaign(
                 variants,

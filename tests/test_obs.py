@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.parallel import ParallelCampaign
 from repro.core.pool import WorkerPool, _Worker
-from repro.core.supervisor import SupervisedCampaign, SupervisorPolicy
+from repro.core.supervisor import SupervisorPolicy
 from repro.obs import (
     DETERMINISTIC_KINDS,
     CaseExecuted,
@@ -536,17 +536,21 @@ class TestReapGating:
 
     def test_reap_emits_worker_died_only_for_real_deaths(self):
         """The pump loop turns a reaped death into one ``worker_died``
-        (and a loud failure), and emits nothing for healthy workers."""
+        (with no restart budget, then ``budget_exhausted`` and a loud
+        failure), and emits nothing for healthy workers."""
         rec = MemoryRecorder()
         pool = _pool_of(
             {"b": _FakeWorker(alive=False, exitcode=-9)},
             idle=[_FakeWorker(alive=True)],
         )
-        runner = ParallelCampaign([WIN98], jobs=2)
+        runner = ParallelCampaign(
+            [WIN98], jobs=2,
+            policy=SupervisorPolicy(mut_deadline=None, max_restarts=0),
+        )
         with pytest.raises(RuntimeError, match="exited with code -9"):
             runner._run_workers(pool, [], None, rec)
         kinds = [r["kind"] for r in rec.records]
-        assert kinds == ["worker_died"]
+        assert kinds == ["worker_died", "budget_exhausted"]
         assert rec.records[0]["death"] == "killed"
         assert rec.records[0]["exitcode"] == -9
 
@@ -560,17 +564,17 @@ class TestReapGating:
     def test_pump_timeout_floor(self):
         """Regression: a 0.2s MuT deadline used to drive the pump poll
         down to 10ms (a busy loop); the floor is now 50ms."""
-        tight = SupervisedCampaign(
+        tight = ParallelCampaign(
             [WIN98], jobs=2,
             policy=SupervisorPolicy(mut_deadline=0.2, max_restarts=1),
         )
         assert tight._pump_timeout() == pytest.approx(0.05)
-        roomy = SupervisedCampaign(
+        roomy = ParallelCampaign(
             [WIN98], jobs=2,
             policy=SupervisorPolicy(mut_deadline=300.0, max_restarts=1),
         )
         assert roomy._pump_timeout() == pytest.approx(0.2)
-        off = SupervisedCampaign(
+        off = ParallelCampaign(
             [WIN98], jobs=2,
             policy=SupervisorPolicy(mut_deadline=None, max_restarts=1),
         )

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.parallel import ParallelCampaign
-from repro.core.supervisor import SupervisedCampaign, SupervisorPolicy
+from repro.core.supervisor import SupervisorPolicy
 from repro.obs import (
     DETERMINISTIC_KINDS,
     JsonlRecorder,
@@ -100,7 +100,7 @@ class TestSupervisedKillDrill:
         )
         events_path = tmp_path / "events.jsonl"
         recorder = JsonlRecorder(events_path)
-        sup = SupervisedCampaign(
+        sup = ParallelCampaign(
             variants,
             config=CampaignConfig(cap=30),
             muts=SUBSET,

@@ -5,9 +5,11 @@ shards must resume independently after a killed worker."""
 
 import json
 import os
+import tempfile
 
 import pytest
 
+import repro
 from repro.analysis.tables import render_table1
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.parallel import ParallelCampaign, default_jobs
@@ -20,6 +22,7 @@ from repro.core.results_io import (
     save_results,
     shard_path,
 )
+from repro.core.supervisor import SupervisorPolicy
 from repro.posix.linux import LINUX
 from repro.win32.variants import WIN98, WINNT
 
@@ -205,6 +208,48 @@ class TestShardResume:
         assert skeleton.complete is False
 
 
+class TestTemporaryShards:
+    """Without a checkpoint path, the shards that restarts resume from
+    live in a private temporary directory, removed however the run
+    ends."""
+
+    def _run(self, tmp_path, monkeypatch, policy=None):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        during: list[list] = []
+
+        def look(*_):
+            during.append(list(tmp_path.glob("ballista-supervised-*")))
+
+        runner = ParallelCampaign(
+            [WIN98, LINUX], config=CampaignConfig(cap=20), muts=SUBSET,
+            jobs=2, policy=policy,
+        )
+        try:
+            return runner.run(progress=look)
+        finally:
+            assert any(during), "the run never used a temporary directory"
+            assert not list(tmp_path.glob("ballista-supervised-*"))
+
+    def test_successful_run_removes_its_temporary_shards(
+        self, tmp_path, monkeypatch
+    ):
+        results = self._run(tmp_path, monkeypatch)
+        assert dumps(results) == dumps(
+            serial_campaign([WIN98, LINUX], 20).run()
+        )
+
+    def test_failed_run_removes_its_temporary_shards(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("BALLISTA_FAULT_KILL", "linux|libc:strcpy|2")
+        with pytest.raises(RuntimeError, match="restart budget exhausted"):
+            self._run(
+                tmp_path,
+                monkeypatch,
+                SupervisorPolicy(mut_deadline=None, max_restarts=0),
+            )
+
+
 # ----------------------------------------------------------------------
 # Knobs
 # ----------------------------------------------------------------------
@@ -220,6 +265,15 @@ class TestJobs:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             ParallelCampaign([WINNT], jobs=0)
+
+    def test_supervised_campaign_is_the_one_runner(self):
+        """The old supervised subclass's name still builds the runner
+        (benchmark scripts use it)."""
+        runner = repro.SupervisedCampaign(
+            [WIN98], config=CampaignConfig(cap=20), jobs=2, shards=4
+        )
+        assert type(runner) is ParallelCampaign
+        assert runner.shards == 4 and runner.jobs == 2
 
     def test_single_job_runs_serially_in_process(self):
         campaign = parallel_campaign([WIN98, WINNT], 20, jobs=1)

@@ -37,7 +37,7 @@ from repro.core.sequences import (
     run_variant_sequences,
     sequence_name,
 )
-from repro.core.supervisor import SupervisedCampaign, SupervisorPolicy
+from repro.core.supervisor import SupervisorPolicy
 from repro.core.types import default_types
 from repro.obs import (
     MemoryRecorder,
@@ -666,7 +666,7 @@ class TestResilienceDrill:
         )
         sup_ckpt = tmp_path / "supervised.json"
         recorder = MemoryRecorder()
-        sup = SupervisedCampaign(
+        sup = ParallelCampaign(
             variants,
             config=seq_config(),
             muts=SUBSET,
@@ -785,6 +785,27 @@ class TestPersistence:
         )
         with pytest.raises(ValueError, match="campaign plan"):
             other.run(resume=path)
+
+    def test_parallel_resume_refuses_plan_mismatch_before_spawning(
+        self, tmp_path
+    ):
+        """The parallel runner applies the serial runner's plan check up
+        front: no worker spawns only to fail on the mismatch."""
+        path = tmp_path / "seq.ckpt"
+        Campaign([WIN98], config=seq_config(sequences=4), muts=SUBSET).run(
+            checkpoint_path=path, checkpoint_every=1
+        )
+        other = ParallelCampaign(
+            [WIN98],
+            config=seq_config(sequences=4, sequence_seed=99),
+            muts=SUBSET,
+            jobs=2,
+        )
+        recorder = MemoryRecorder()
+        with pytest.raises(ValueError, match="campaign plan"):
+            other.run(resume=path, recorder=recorder)
+        kinds = [r["kind"] for r in recorder.records]
+        assert "worker_spawned" not in kinds
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ runs, and stale wear-atlas speculation."""
 import io
 import json
 import os
+import threading
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.core.results_io import (
     shard_path,
     wear_fingerprint,
 )
-from repro.core.supervisor import SupervisedCampaign, SupervisorPolicy
+from repro.core.supervisor import SupervisorPolicy
 from repro.obs import MemoryRecorder, strip_wall, variant_stream
 from repro.obs.progress import ProgressRenderer
 from repro.posix.linux import LINUX
@@ -277,7 +278,7 @@ class TestShardWorkerKill:
             "BALLISTA_FAULT_KILL", f"linux|libc:strcpy|2|{marker}"
         )
         shd_path = tmp_path / "sharded.ckpt"
-        sup = SupervisedCampaign(
+        sup = ParallelCampaign(
             variants,
             config=CampaignConfig(cap=cap),
             muts=SUBSET,
@@ -296,6 +297,34 @@ class TestShardWorkerKill:
         assert restarts, "the supervisor never logged the slice restart"
         # The restart is attributed to the (variant, slice) worker.
         assert any("#" in e["variant"] for e in restarts)
+
+    def test_exhausted_slice_fails_the_run_instead_of_stalling(
+        self, monkeypatch
+    ):
+        """Regression: a slice that spent its restart budget left the
+        slice chained behind it waiting for a seam that never came, and
+        the pump loop polled forever.  The run must fail, naming it."""
+        # win98's plan is fclose, isalpha | strcpy, CloseHandle |
+        # GetThreadContext: slice 1 dies on every attempt, slice 2
+        # needs its end wear.
+        monkeypatch.setenv("BALLISTA_FAULT_KILL", "win98|libc:strcpy|2")
+        runner = sharded_campaign(
+            [WIN98], 20, shards=3,
+            policy=SupervisorPolicy(mut_deadline=None, max_restarts=0),
+        )
+        failure: list[str] = []
+
+        def run() -> None:
+            try:
+                runner.run()
+            except RuntimeError as exc:
+                failure.append(str(exc))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "the pump loop stalled"
+        assert failure and "gave up on ['win98#1']" in failure[0]
 
 
 # ----------------------------------------------------------------------

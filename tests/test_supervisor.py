@@ -1,7 +1,8 @@
 """Self-healing supervision: a SIGKILLed worker restarts from its shard
 into byte-identical output, a worker hung in *real* time (invisible to
-the simulated watchdog) is killed and its poison MuT quarantined, and
-budget exhaustion fails loudly instead of hanging the campaign."""
+the simulated watchdog) is killed and its poison MuT quarantined,
+budget exhaustion fails loudly instead of hanging the campaign, and a
+setup error fails its variant without a restart."""
 
 import json
 import os
@@ -11,8 +12,10 @@ import pytest
 from repro.analysis.tables import render_table1
 from repro.core.campaign import Campaign, CampaignConfig, run_single_case
 from repro.core.crash_scale import CaseCode
+from repro.core.parallel import ParallelCampaign
 from repro.core.results import ResultSet
 from repro.core.results_io import (
+    CampaignCheckpoint,
     checkpoint_from_dict,
     checkpoint_to_dict,
     load_checkpoint,
@@ -20,14 +23,15 @@ from repro.core.results_io import (
     results_from_dict,
     results_to_dict,
     save_checkpoint,
+    shard_path,
 )
 from repro.core.supervisor import (
-    SupervisedCampaign,
     SupervisorPolicy,
     default_max_mut_retries,
     default_max_restarts,
     default_mut_deadline,
 )
+from repro.obs import MemoryRecorder
 from repro.posix.linux import LINUX
 from repro.win32.variants import WIN98, WINNT
 
@@ -46,7 +50,7 @@ def serial_campaign(variants, cap):
 
 
 def supervised_campaign(variants, cap, policy=None, muts=SUBSET):
-    return SupervisedCampaign(
+    return ParallelCampaign(
         variants,
         config=CampaignConfig(cap=cap),
         muts=muts,
@@ -83,7 +87,7 @@ class TestNoFault:
         assert sup_ckpt.read_bytes() == serial_ckpt.read_bytes()
 
     def test_jobs_one_falls_back_to_serial(self):
-        sup = SupervisedCampaign(
+        sup = ParallelCampaign(
             [LINUX], config=CampaignConfig(cap=20), muts=SUBSET, jobs=1
         )
         serial = serial_campaign([LINUX], 20).run()
@@ -139,6 +143,33 @@ class TestWorkerRestart:
             sup.run()
         events = [e["event"] for e in sup.supervision_log]
         assert "budget_exhausted" in events
+
+
+class TestSetupErrors:
+    def test_stale_shard_fails_fast_without_restarts(self, tmp_path):
+        """A worker that raises before its first unit -- here on a
+        leftover shard from another cap -- fails its spec at once: one
+        ``worker_died``, no restart, no backoff."""
+        path = tmp_path / "campaign.ckpt"
+        stale = CampaignCheckpoint(
+            ResultSet(), cap=99, variants=["win98"], complete=False
+        )
+        save_checkpoint(stale, shard_path(path, "win98"))
+        runner = ParallelCampaign(
+            [WIN98, WINNT], config=CampaignConfig(cap=20), muts=SUBSET,
+            jobs=JOBS, policy=SupervisorPolicy(),
+        )
+        recorder = MemoryRecorder()
+        with pytest.raises(RuntimeError, match="win98") as failure:
+            runner.run(checkpoint_path=path, recorder=recorder)
+        assert "cap=99" in str(failure.value)  # the worker's traceback
+        kinds = [r["kind"] for r in recorder.records]
+        assert "worker_restarted" not in kinds
+        deaths = [r for r in recorder.records if r["kind"] == "worker_died"]
+        assert [(d["variant"], d["death"]) for d in deaths] == [
+            ("win98", "crashed")
+        ]
+        assert deaths[0]["why"].startswith("Traceback")
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +281,7 @@ class TestSimulatedHang:
         serial = Campaign(
             variants, config=CampaignConfig(cap=25), muts=muts
         ).run()
-        sup = SupervisedCampaign(
+        sup = ParallelCampaign(
             variants,
             config=CampaignConfig(cap=25),
             muts=muts,
@@ -279,8 +310,6 @@ class TestCorruptShard:
             muts=SUBSET,
         )
         results = campaign.run()
-        from repro.core.results_io import CampaignCheckpoint
-
         return CampaignCheckpoint(
             results, cap=cap, variants=[variant], complete=True
         )
@@ -322,8 +351,6 @@ class TestCorruptShard:
 
 class TestSupervisionLog:
     def test_supervision_round_trips_through_checkpoint(self):
-        from repro.core.results_io import CampaignCheckpoint
-
         ckpt = CampaignCheckpoint(
             ResultSet(),
             cap=10,

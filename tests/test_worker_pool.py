@@ -23,7 +23,7 @@ from repro.core.parallel import (
 )
 from repro.core.pool import WorkerPool
 from repro.core.results_io import checkpoint_from_dict, results_to_dict
-from repro.core.supervisor import SupervisedCampaign, SupervisorPolicy
+from repro.core.supervisor import SupervisorPolicy
 from repro.obs.recorder import MemoryRecorder
 from repro.posix.linux import LINUX
 from repro.service.client import ServiceClient
@@ -126,7 +126,7 @@ class TestReuse:
             variants, config=CampaignConfig(cap=CAP), muts=SUBSET
         ).run()
         recorder = MemoryRecorder()
-        runner = SupervisedCampaign(
+        runner = ParallelCampaign(
             variants,
             config=CampaignConfig(cap=CAP),
             muts=SUBSET,
@@ -157,7 +157,7 @@ class TestReplacement:
             "BALLISTA_FAULT_KILL", f"linux|libc:strcpy|2|{marker}"
         )
         recorder = MemoryRecorder()
-        runner = SupervisedCampaign(
+        runner = ParallelCampaign(
             variants,
             config=CampaignConfig(cap=CAP),
             muts=SUBSET,
@@ -185,7 +185,7 @@ class TestReplacement:
     def test_hung_pooled_worker_is_replaced(self, monkeypatch):
         monkeypatch.setenv("BALLISTA_FAULT_HANG", "win98|libc:strcpy|2")
         recorder = MemoryRecorder()
-        runner = SupervisedCampaign(
+        runner = ParallelCampaign(
             [WIN98, LINUX],
             config=CampaignConfig(cap=CAP),
             muts=SUBSET,
@@ -212,7 +212,7 @@ class TestNoLeaks:
     def test_no_children_after_run_raises(self, monkeypatch):
         before = set(multiprocessing.active_children())
         monkeypatch.setenv("BALLISTA_FAULT_KILL", "linux|libc:strcpy|2")
-        runner = SupervisedCampaign(
+        runner = ParallelCampaign(
             [WIN98, LINUX],
             config=CampaignConfig(cap=CAP),
             muts=SUBSET,
