@@ -175,6 +175,40 @@ def check_resume(
         )
 
 
+def variant_muts(
+    personality: Personality,
+    muts: Iterable[str] | None = None,
+    registry: MuTRegistry | None = None,
+) -> list[MuT]:
+    """The variant's MuTs in plan order, restricted to the bare names
+    in ``muts`` when given."""
+    plan = (registry or default_registry()).for_variant(personality)
+    if muts is not None:
+        wanted = set(muts)
+        plan = [m for m in plan if m.name in wanted]
+    return plan
+
+
+def plan_identities(
+    personality: Personality,
+    config: CampaignConfig,
+    muts: Iterable[str] | None = None,
+    registry: MuTRegistry | None = None,
+) -> list[tuple[str, str]]:
+    """The variant's ordered plan as ``(api, name)`` identities -- the
+    currency of checkpoint splitting/merging and the wear atlas.  One
+    entry per MuT in case mode, one per sequence (under the reserved
+    ``"seq"`` namespace) in sequence mode.  Builds no case plan."""
+    if config.mode == "sequence":
+        from repro.core.sequences import SEQUENCE_API, sequence_name
+
+        return [
+            (SEQUENCE_API, sequence_name(index))
+            for index in range(config.sequences)
+        ]
+    return [(m.api, m.name) for m in variant_muts(personality, muts, registry)]
+
+
 class Campaign:
     """Runs MuTs across OS variants and collects results."""
 
@@ -234,10 +268,7 @@ class Campaign:
     # ------------------------------------------------------------------
 
     def muts_for(self, personality: Personality) -> list[MuT]:
-        muts = self.registry.for_variant(personality)
-        if self._mut_filter is not None:
-            muts = [m for m in muts if m.name in self._mut_filter]
-        return muts
+        return variant_muts(personality, self._mut_filter, self.registry)
 
     def sequence_plans(self, personality: Personality) -> list:
         """The variant's deterministic sequence plan (sequence mode)."""
@@ -251,22 +282,6 @@ class Campaign:
             seed=self.config.sequence_seed,
             fault_families=self.config.fault_families,
         ).plans()
-
-    def plan_identities(
-        self, personality: Personality
-    ) -> list[tuple[str, str]]:
-        """The variant's ordered plan as ``(api, name)`` identities --
-        the currency of checkpoint splitting/merging and the wear atlas.
-        One entry per MuT in case mode, one per sequence (under the
-        reserved ``"seq"`` namespace) in sequence mode."""
-        if self.config.mode == "sequence":
-            from repro.core.sequences import SEQUENCE_API, sequence_name
-
-            return [
-                (SEQUENCE_API, sequence_name(index))
-                for index in range(self.config.sequences)
-            ]
-        return [(m.api, m.name) for m in self.muts_for(personality)]
 
     def run(
         self,

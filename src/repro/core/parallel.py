@@ -51,6 +51,7 @@ from repro.core.campaign import (
     CampaignConfig,
     ProgressFn,
     check_resume,
+    plan_identities,
 )
 from repro.core.pool import WorkerPool
 from repro.core.results import ResultSet
@@ -797,9 +798,6 @@ class ParallelCampaign:
             load_atlas(self.atlas_path) if self.atlas_path is not None else None
         )
         planner = _SeamPlanner()
-        plan_source = Campaign(
-            self.variants, config=self.config, muts=self._muts
-        )
         specs: list[dict] = []
         synthetic: list[CampaignCheckpoint] = []
         spans: dict[str, tuple[int, int]] = {}
@@ -808,7 +806,7 @@ class ParallelCampaign:
         self._plans = {}
         for personality in self.variants:
             key = personality.key
-            plan = plan_source.plan_identities(personality)
+            plan = plan_identities(personality, self.config, self._muts)
             self._plans[key] = plan
             totals[key] = len(plan)
             cursor = resume.cursors.get(key, 0) if resume is not None else 0

@@ -214,33 +214,14 @@ class CRuntime(
     def _scan_str_n(self, func: str, address: int, n: int) -> bytes:
         """Read at most ``n`` bytes, stopping at NUL.  A word-at-a-time
         scanner may touch up to 3 bytes past ``n``, as real ones do."""
-        out = bytearray()
         step = 4 if self.traits.string_word_reads else 1
-        cursor = address
-        while len(out) < n:
-            chunk = self.mem.read(cursor, step)
-            terminator = chunk.find(0)
-            if terminator >= 0:
-                out += chunk[:terminator]
-                break
-            out += chunk
-            cursor += step
-        return bytes(out[:n])
+        return self.mem.read_terminated(address, step, n)[0][:n]
 
     def _scan_wstr(self, func: str, address: int, limit: int = 1 << 20) -> bytes:
-        """Read a UTF-16LE string (returns raw bytes, no terminator)."""
+        """Read a UTF-16LE string (returns raw bytes, no terminator); a
+        word-at-a-time scanner loads two units per (unaligned) word."""
         if self.traits.string_word_reads:
-            out = bytearray()
-            cursor = address
-            while len(out) < limit:
-                chunk = self.mem.read(cursor, 4)
-                for i in (0, 2):
-                    unit = chunk[i : i + 2]
-                    if unit == b"\x00\x00":
-                        return bytes(out)
-                    out += unit
-                cursor += 4
-            return bytes(out)
+            return self.mem.read_terminated(address, 4, limit, term=2)[0]
         return self.mem.read_wstring(address, limit=limit)
 
     # ------------------------------------------------------------------

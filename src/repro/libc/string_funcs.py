@@ -224,15 +224,7 @@ class StringMixin:
     # ------------------------------------------------------------------
 
     def _scan_wstr_n(self, func: str, address: int, n_units: int) -> bytes:
-        out = bytearray()
-        cursor = address
-        while len(out) < 2 * n_units:
-            unit = self.mem.read(cursor, 2)
-            if unit == b"\x00\x00":
-                break
-            out += unit
-            cursor += 2
-        return bytes(out[: 2 * n_units])
+        return self.mem.read_terminated(address, 2, 2 * n_units, term=2)[0]
 
     def wcscpy(self, dest: int, src: int) -> int:
         data = self._scan_wstr("wcscpy", src)

@@ -17,5 +17,6 @@ from repro.lint.checkers import (  # noqa: F401  (registration side effects)
     pickle_safety,
     registry_contract,
     serialization,
+    user_scan,
     wear_escape,
 )

@@ -84,7 +84,8 @@ def main(argv: list[str] | None = None) -> int:
             "contracts, determinism (per-file and propagated through "
             "the call graph), sim isolation, serialization versioning, "
             "exception discipline, cross-thread concurrency contracts, "
-            "spawn pickle-safety, and machine wear-escape."
+            "spawn pickle-safety, machine wear-escape, and windowed "
+            "user-memory scans."
         ),
     )
     parser.add_argument(

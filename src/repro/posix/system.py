@@ -65,10 +65,21 @@ class PosixSystem(
 
     def copy_path(self, func: str, address: int) -> str | None:
         """Kernel pathname pickup (``getname``): scans for the NUL with
-        probing, so a bad pointer yields ``None`` -> EFAULT."""
+        probing, so a bad pointer yields ``None`` -> EFAULT.
+
+        Readable memory is scanned a region at a time; the byte no
+        window covers goes through :meth:`copy_in`, so the PROBE, RAW
+        and CORRUPT handling sees exactly the per-byte pickup's fault."""
         out = bytearray()
         cursor = address & _U32
         while len(out) < PATH_MAX:
+            data, found = self.mem.window(cursor, 1, PATH_MAX - len(out))
+            out += data
+            if found:
+                return out.decode("latin-1")
+            if data:
+                cursor += len(data)
+                continue
             chunk = self.copy_in(func, cursor, 1)
             if chunk is None:
                 return None

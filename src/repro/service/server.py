@@ -833,13 +833,15 @@ class CampaignService:
             if cached is not None:
                 return cached
             from repro import ALL_VARIANTS
+            from repro.core.campaign import CampaignConfig, plan_identities
 
             personality = next(p for p in ALL_VARIANTS if p.key == variant)
-            plan = default_registry().for_variant(personality)
-            if muts is not None:
-                wanted = set(muts)
-                plan = [m for m in plan if m.name in wanted]
-            keys = [f"{m.api}:{m.name}" for m in plan]
+            keys = [
+                f"{api}:{name}"
+                for api, name in plan_identities(
+                    personality, CampaignConfig(), muts
+                )
+            ]
             self._plan_cache[cache_key] = keys
             return keys
 

@@ -85,10 +85,12 @@ class DirectoryNode(Node):
         self.mode = 0o755
         self.entries: dict[str, Node] = {}
         #: Lazily built ``lowered name -> node`` index for
-        #: case-insensitive lookups (first match in insertion order wins,
-        #: exactly like the linear scan it replaces).  Every mutation of
-        #: ``entries`` -- here or by the filesystem operations that
-        #: insert directly -- must reset it to ``None``.
+        #: case-insensitive lookups, holding for each folded key the
+        #: first entry in insertion order (exactly what the linear scan
+        #: it replaces would find).  :meth:`add` and :meth:`remove` keep
+        #: it in place; any other mutation of ``entries`` (an insert
+        #: that may shadow an existing folded key: rename, link,
+        #: restore) must reset it to ``None``.
         self._lower: dict[str, Node] | None = None
 
     def lookup(self, name: str, case_insensitive: bool) -> Node | None:
@@ -104,19 +106,35 @@ class DirectoryNode(Node):
             return lower.get(name.lower())
         return None
 
+    def add(self, name: str, node: Node) -> None:
+        """Insert ``node`` under a name ``entries`` does not hold yet.
+        Appended last, it is first for its folded key only when no
+        entry already folds to it."""
+        self.entries[name] = node
+        lower = self._lower
+        if lower is not None:
+            lower.setdefault(name.lower(), node)
+
     def remove(self, name: str, case_insensitive: bool) -> None:
-        if name in self.entries:
-            del self.entries[name]
-            self._lower = None
-            return
-        if case_insensitive:
+        entries = self.entries
+        if name not in entries:
+            if not case_insensitive:
+                raise KeyError(name)
             lowered = name.lower()
-            for key in list(self.entries):
+            for key in entries:
                 if key.lower() == lowered:
-                    del self.entries[key]
-                    self._lower = None
-                    return
-        raise KeyError(name)
+                    name = key
+                    break
+            else:
+                raise KeyError(name)
+        lower = self._lower
+        if lower is not None:
+            if len(lower) == len(entries):
+                # Every folded key is unique, this one included.
+                del lower[name.lower()]
+            else:
+                self._lower = None
+        del entries[name]
 
 
 class OpenFile:
@@ -397,8 +415,7 @@ class FileSystem:
         if self.faults is not None and self.faults.trip("disk"):
             raise FileSystemError("ENOSPC", path)
         node = FileNode(name, self._now(), data)
-        parent.entries[name] = node
-        parent._lower = None
+        parent.add(name, node)
         self._file_count += 1
         return node
 
@@ -447,8 +464,7 @@ class FileSystem:
         if parent.lookup(name, self.case_insensitive) is not None:
             raise FileSystemError("EEXIST", path)
         node = DirectoryNode(name, self._now())
-        parent.entries[name] = node
-        parent._lower = None
+        parent.add(name, node)
         return node
 
     def rmdir(self, path: str) -> None:

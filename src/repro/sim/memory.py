@@ -332,6 +332,72 @@ class AddressSpace:
     # C string helpers
     # ------------------------------------------------------------------
 
+    def window(
+        self, address: int, width: int, budget: int, term: int = 1
+    ) -> tuple[bytearray, bool]:
+        """One region's worth of a per-unit string scan, without a fault.
+
+        The scan being windowed loads ``width`` bytes (1, 2 or 4) at a
+        time from ``address`` while it holds fewer than ``budget`` bytes
+        (so the last load may overshoot the budget), and stops at the
+        first load holding a terminator: ``term`` zero bytes (1 or 2) at
+        an offset from ``address`` that is a multiple of ``term``.  This
+        covers, with one ``bytearray.find``, every such load that lies
+        inside the readable region holding ``address`` and starts below
+        4 GiB (past it, addresses wrap).
+
+        Returns ``(data, found)``: the bytes those loads yield before the
+        terminator, or all of them when ``found`` is false.  An empty,
+        unterminated window means no load fits -- the address is
+        unmapped or unreadable, or the load crosses the region's end --
+        and the caller issues that one load through its own access path:
+        :meth:`read` then faults exactly as the per-unit scan's load
+        does, a kernel ``copy_in`` applies its PROBE/RAW/CORRUPT handling.
+        """
+        address &= ADDRESS_MASK
+        region = self.find(address)
+        if region is None or not region._prot & 1:
+            return bytearray(), False
+        offset = address - region.start
+        loads = min(
+            (region.size - offset) // width,
+            (budget + width - 1) // width,
+            (ADDRESS_MASK - address) // width + 1,
+        )
+        if loads <= 0:
+            return bytearray(), False
+        data = region.data
+        end = offset + loads * width
+        marker = bytes(term)
+        stop = data.find(marker, offset, end)
+        while stop >= 0 and (stop - offset) % term:
+            stop = data.find(marker, stop + 1, end)
+        if stop < 0:
+            return data[offset:end], False
+        return data[offset:stop], True
+
+    def read_terminated(
+        self, address: int, width: int, budget: int, term: int = 1
+    ) -> tuple[bytes, bool]:
+        """Run a per-unit string scan (see :meth:`window`) with plain
+        user-mode loads: ``(bytes before the terminator, found)``.  It
+        faults where the scan's ``read(cursor, width)`` would."""
+        out = bytearray()
+        cursor = address
+        while len(out) < budget:
+            data, found = self.window(cursor, width, budget - len(out), term)
+            out += data
+            if found:
+                return bytes(out), True
+            if not data:
+                # No load fits, so the scan's next load faults right here.
+                self.read(cursor, width)
+                raise AssertionError(
+                    f"window skipped a load at 0x{cursor & ADDRESS_MASK:08X}"
+                )
+            cursor += len(data)
+        return bytes(out), False
+
     def read_cstring(
         self, address: int, limit: int = 1 << 20, word_at_a_time: bool = False
     ) -> bytes:
@@ -345,61 +411,16 @@ class AddressSpace:
             difference between byte-wise and word-wise string routines
             that the C-runtime flavours exploit.
         """
-        # Both shapes scan whole regions with ``bytearray.find`` instead
-        # of issuing one checked load per byte/word -- string traffic
-        # dominates the campaign hot path.  Faults must stay *byte
-        # identical* to the per-access loops they replace: on any
-        # unreadable or boundary-crossing access the code below re-issues
-        # the exact load the slow loop would have made and lets it raise.
-        out = bytearray()
         cursor = address & ADDRESS_MASK
         if not word_at_a_time:
-            while len(out) < limit:
-                region = self.find(cursor)
-                if region is None or not region._prot & 1:
-                    self.read(cursor, 1)  # faults exactly like the loop
-                data = region.data
-                offset = cursor - region.start
-                bound = min(region.size, offset + (limit - len(out)))
-                nul = data.find(0, offset, bound)
-                if nul >= 0:
-                    out += data[offset:nul]
-                    return bytes(out)
-                out += data[offset:bound]
-                cursor += bound - offset
-            return bytes(out)
-        # Byte prologue to the first word boundary.
-        while cursor % 4 and len(out) < limit:
-            byte = self.read(cursor, 1)[0]
-            if byte == 0:
-                return bytes(out)
-            out.append(byte)
-            cursor += 1
-        # Aligned word loop.  The per-word loop appends *whole* words
-        # while under the limit (output may overshoot by up to three
-        # bytes) and an aligned word crossing the end of the mapping
-        # faults at ``region.end`` even when an adjacent region follows;
-        # the windowed scan reproduces both.
-        while len(out) < limit:
-            region = self.find(cursor)
-            if region is None or not region._prot & 1:
-                self.read(cursor, 4)  # faults exactly like the loop
-            offset = cursor - region.start
-            words = min(
-                (region.size - offset) >> 2, (limit - len(out) + 3) >> 2
-            )
-            if words <= 0:
-                # Word read crossing the end of the mapping.
-                self.read(cursor, 4)
-            data = region.data
-            end = offset + (words << 2)
-            nul = data.find(0, offset, end)
-            if nul >= 0:
-                out += data[offset:nul]
-                return bytes(out)
-            out += data[offset:end]
-            cursor += end - offset
-        return bytes(out)
+            return self.read_terminated(cursor, 1, limit)[0]
+        head = b""
+        if cursor & 3:
+            head, found = self.read_terminated(cursor, 1, min(-cursor & 3, limit))
+            if found:
+                return head
+        body = self.read_terminated(cursor + len(head), 4, limit - len(head))[0]
+        return head + body
 
     def write_cstring(self, address: int, value: bytes) -> None:
         """Store ``value`` plus a NUL terminator."""
@@ -408,37 +429,7 @@ class AddressSpace:
     def read_wstring(self, address: int, limit: int = 1 << 20) -> bytes:
         """Read a UTF-16LE (UNICODE) string, returning its bytes without
         the terminator."""
-        # Windowed scan mirroring :meth:`read_cstring`: the per-unit
-        # loop appends whole two-byte units while under the limit and
-        # faults at ``region.end`` when a unit crosses the mapping end;
-        # terminators only count on unit boundaries.
-        out = bytearray()
-        cursor = address & ADDRESS_MASK
-        while len(out) < limit:
-            region = self.find(cursor)
-            if region is None or not region._prot & 1:
-                self.read(cursor, 2)  # faults exactly like the loop
-            offset = cursor - region.start
-            units = min(
-                (region.size - offset) >> 1, (limit - len(out) + 1) >> 1
-            )
-            if units <= 0:
-                # Unit read crossing the end of the mapping.
-                self.read(cursor, 2)
-            data = region.data
-            end = offset + (units << 1)
-            search = offset
-            while True:
-                pos = data.find(b"\x00\x00", search, end)
-                if pos < 0:
-                    break
-                if (pos - offset) % 2 == 0:
-                    out += data[offset:pos]
-                    return bytes(out)
-                search = pos + 1
-            out += data[offset:end]
-            cursor += end - offset
-        return bytes(out)
+        return self.read_terminated(address & ADDRESS_MASK, 2, limit, term=2)[0]
 
     def write_wstring(self, address: int, value: bytes) -> None:
         """Store UTF-16LE bytes plus a two-byte terminator."""

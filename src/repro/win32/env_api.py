@@ -307,6 +307,15 @@ class EnvApiMixin:
         cursor = lpsz & _U32
         remaining = min(ucchMax & _U32, 1 << 16)
         while remaining:
+            data, found = self.mem.window(cursor, 1, remaining)
+            if found:
+                return 0
+            if data:
+                cursor += len(data)
+                remaining -= len(data)
+                continue
+            # Region edge: the per-byte probe decides (an unmapped byte
+            # is bad; a mapped but unreadable one faults in user mode).
             if not self.mem.is_mapped(cursor, 1):
                 return 1
             if self.mem.read(cursor, 1) == b"\x00":

@@ -33,6 +33,7 @@ RULES = {
     "sim-isolation",
     "serialization-version",
     "exception-discipline",
+    "user-scan",
 }
 
 
@@ -456,6 +457,61 @@ def _violating_tree(tmp_path):
         """,
     )
     return tmp_path
+
+
+class TestUserScan:
+    def test_clean_on_real_tree(self):
+        assert findings_for(Project(), "user-scan") == []
+
+    def test_per_unit_loops_flagged_windowed_and_bulk_loads_not(self, tmp_path):
+        write_module(
+            tmp_path,
+            "repro/libc/x.py",
+            """
+            def per_byte(self, cursor):
+                while True:
+                    if self.mem.read(cursor, 1) == b"\\x00":
+                        return
+                    cursor += 1
+
+            def per_word(self, cursor, word_reads):
+                step = 4 if word_reads else 1
+                for _ in range(8):
+                    self._user_read("f", cursor, step)
+                    cursor += step
+
+            def windowed(self, cursor):
+                while True:
+                    data, found = self.mem.window(cursor, 1, 64)
+                    if found:
+                        return
+                    if not data:
+                        self.copy_in("f", cursor, 1)
+                    cursor += len(data)
+
+            def bulk(self, cursor, chunk):
+                for _ in range(8):
+                    self._user_read("f", cursor, 4096)
+                    self.mem.read(cursor, chunk)
+
+            def once(self, cursor):
+                return self.mem.read(cursor, 4)
+            """,
+        )
+        write_module(
+            tmp_path,
+            "repro/core/y.py",
+            """
+            def outside_the_mut_packages(mem, cursor):
+                while True:
+                    mem.read(cursor, 1)
+            """,
+        )
+        found = findings_for(Project(root=tmp_path), "user-scan")
+        assert [(f.code, f.line) for f in found] == [
+            ("SCAN-PER-UNIT", 4),
+            ("SCAN-PER-UNIT", 11),
+        ]
 
 
 class TestBaseline:

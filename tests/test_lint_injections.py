@@ -1,5 +1,5 @@
 """The acceptance drill for ``repro lint``: inject one violation of each
-rule -- the five per-file rules and the four interprocedural ones -- into
+rule -- the six per-file rules and the four interprocedural ones -- into
 a copy of the tree and prove ``repro lint --fail-on-new`` catches every
 one.
 
@@ -221,6 +221,39 @@ def test_absolute_wallclock_in_obs_is_caught(doctored_src):
     proc = run_lint(doctored_src)
     assert_caught(proc, "determinism", "DET-WALLCLOCK")
     assert "repro/obs/events.py" in proc.stdout
+
+
+def test_per_byte_path_pickup_is_caught(doctored_src):
+    """Restoring the per-byte ``copy_path`` loop -- one one-byte
+    ``copy_in`` per iteration, no window -- is the per-unit user-memory
+    scan the window primitive replaced."""
+    path = doctored_src / "repro" / "posix" / "system.py"
+    text = path.read_text(encoding="utf-8")
+    start = text.index("    def copy_path(")
+    end = text.index("    # ---", start)
+    per_byte = textwrap.indent(
+        textwrap.dedent(
+            """
+            def copy_path(self, func: str, address: int) -> str | None:
+                out = bytearray()
+                cursor = address & _U32
+                while len(out) < PATH_MAX:
+                    chunk = self.copy_in(func, cursor, 1)
+                    if chunk is None:
+                        return None
+                    if chunk == b"\\x00":
+                        return out.decode("latin-1")
+                    out += chunk
+                    cursor += 1
+                return None
+            """
+        ).lstrip(),
+        "    ",
+    )
+    path.write_text(text[:start] + per_byte + "\n" + text[end:], encoding="utf-8")
+    proc = run_lint(doctored_src)
+    assert_caught(proc, "user-scan", "SCAN-PER-UNIT")
+    assert "repro/posix/system.py" in proc.stdout
 
 
 # ----------------------------------------------------------------------

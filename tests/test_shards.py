@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.tables import render_table1
 from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.generator import CaseGenerator
 from repro.core.parallel import (
     ParallelCampaign,
     default_jobs,
@@ -208,6 +209,24 @@ class TestShardedDeterminism:
 # Seam wear: a file leaked at the end of slice k must influence the
 # first MuT of slice k+1 exactly as it does serially
 # ----------------------------------------------------------------------
+
+
+class TestParentPlanning:
+    def test_sharded_parent_builds_no_case_plans(self, monkeypatch):
+        """The parent cuts every variant's plan into slices from MuT
+        identities alone; only the spawned workers generate cases."""
+        generated = []
+        real = CaseGenerator._generate
+
+        def counting(self, mut):
+            generated.append(mut.name)
+            return real(self, mut)
+
+        monkeypatch.setattr(CaseGenerator, "_generate", counting)
+        variants = [WIN98, LINUX]
+        sharded = sharded_campaign(variants, 20, shards=2).run()
+        assert generated == []
+        assert dumps(sharded) == dumps(serial_campaign(variants, 20).run())
 
 
 class TestShardBoundaryWearLeak:

@@ -19,7 +19,7 @@ from hypothesis.stateful import (
 from repro.core.context import TestContext
 from repro.posix.linux import LINUX
 from repro.sim.errors import AccessViolation
-from repro.sim.filesystem import FileSystem, FileSystemError
+from repro.sim.filesystem import DirectoryNode, FileSystem, FileSystemError
 from repro.sim.machine import Machine
 from repro.sim.objects import EventObject, HandleTable
 
@@ -198,11 +198,115 @@ class HandleTableModel(RuleBasedStateMachine):
         assert len(self.table) == len(self.model)
 
 
+_FOLDED_NAMES = st.sampled_from(["a", "A", "b", "B", "Data.txt", "DATA.TXT"])
+_DIRS = st.sampled_from(["", "/d", "/D", "/a", "/B"])
+
+
+def _rebuilt_index(directory: DirectoryNode) -> dict:
+    lower: dict = {}
+    for key, node in directory.entries.items():
+        lower.setdefault(key.lower(), node)
+    return lower
+
+
+def _linear_lookup(directory: DirectoryNode, name: str):
+    if name in directory.entries:
+        return directory.entries[name]
+    lowered = name.lower()
+    for key, node in directory.entries.items():
+        if key.lower() == lowered:
+            return node
+    return None
+
+
+class CaseFoldIndexModel(RuleBasedStateMachine):
+    """A case-insensitive FileSystem's folded-name index (kept in place
+    by create/mkdir/unlink/rmdir, dropped by rename and link) vs a
+    from-scratch rebuild, and its lookups vs a linear scan, on names
+    that differ only in case."""
+
+    def __init__(self):
+        super().__init__()
+        machine = Machine(LINUX)
+        machine.fs = self.fs = FileSystem(case_insensitive=True)
+        self.fs.mkdir("/d")
+        self.ctx = TestContext(machine, machine.spawn_process())
+
+    @rule(name=_FOLDED_NAMES, under=_DIRS, data=_PAYLOADS)
+    def create_file(self, name, under, data):
+        try:
+            self.fs.create_file(f"{under}/{name}", data)
+        except FileSystemError:
+            pass
+
+    @rule(name=_FOLDED_NAMES, under=_DIRS)
+    def mkdir(self, name, under):
+        try:
+            self.fs.mkdir(f"{under}/{name}")
+        except FileSystemError:
+            pass
+
+    @rule(name=_FOLDED_NAMES, under=_DIRS)
+    def unlink(self, name, under):
+        try:
+            self.fs.unlink(f"{under}/{name}")
+        except FileSystemError:
+            pass
+
+    @rule(name=_FOLDED_NAMES, under=_DIRS)
+    def rmdir(self, name, under):
+        try:
+            self.fs.rmdir(f"{under}/{name}")
+        except FileSystemError:
+            pass
+
+    @rule(old=_FOLDED_NAMES, new=_FOLDED_NAMES, src=_DIRS, dst=_DIRS)
+    def rename(self, old, new, src, dst):
+        try:
+            self.fs.rename(f"{src}/{old}", f"{dst}/{new}")
+        except FileSystemError:
+            pass
+
+    @rule(old=_FOLDED_NAMES, new=_FOLDED_NAMES, src=_DIRS, dst=_DIRS)
+    def link(self, old, new, src, dst):
+        self.ctx.posix.link(
+            self.ctx.cstring(f"{src}/{old}".encode()),
+            self.ctx.cstring(f"{dst}/{new}".encode()),
+        )
+
+    def _directories(self):
+        pending = [self.fs.root]
+        while pending:
+            directory = pending.pop()
+            yield directory
+            pending.extend(
+                node
+                for node in directory.entries.values()
+                if isinstance(node, DirectoryNode)
+            )
+
+    @invariant()
+    def index_matches_rebuild_and_lookups_match_linear_scan(self):
+        for directory in list(self._directories()):
+            if directory._lower is not None:
+                assert directory._lower == _rebuilt_index(directory)
+            for name in ("a", "A", "b", "B", "d", "D", "data.txt", "DATA.TXT"):
+                assert directory.lookup(name, True) is _linear_lookup(
+                    directory, name
+                )
+
+
 FileSystemModelTest = FileSystemModel.TestCase
 HeapModelTest = HeapModel.TestCase
 HandleTableModelTest = HandleTableModel.TestCase
+CaseFoldIndexModelTest = CaseFoldIndexModel.TestCase
 
-for test_case in (FileSystemModelTest, HeapModelTest, HandleTableModelTest):
+for test_case in (
+    FileSystemModelTest,
+    HeapModelTest,
+    HandleTableModelTest,
+    CaseFoldIndexModelTest,
+):
     test_case.settings = settings(
         max_examples=30, stateful_step_count=30, deadline=None
     )

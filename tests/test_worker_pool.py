@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro import ALL_VARIANTS
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign, CampaignConfig, plan_identities
 from repro.core.parallel import (
     ParallelCampaign,
     config_spec_fields,
@@ -44,9 +44,7 @@ def slice_spec(personality, index, shards, base_wear=None):
     """A worker spec for slice ``index`` of ``shards`` of the variant's
     SUBSET plan, built the way the parallel runner builds one."""
     config = CampaignConfig(cap=CAP)
-    plan = Campaign([personality], config=config, muts=SUBSET).plan_identities(
-        personality
-    )
+    plan = plan_identities(personality, config, SUBSET)
     start, stop = shard_bounds(len(plan), shards)[index]
     return {
         "variant": personality.key,
@@ -138,9 +136,10 @@ class TestReuse:
         assert dumps(results) == dumps(serial)
         spawns = spawned(recorder)
         # One WorkerSpawned per slice started, each naming its worker.
-        plans = Campaign(variants, muts=SUBSET)
+        config = CampaignConfig()
         slices = sum(
-            len(shard_bounds(len(plans.plan_identities(p)), 4)) for p in variants
+            len(shard_bounds(len(plan_identities(p, config, SUBSET)), 4))
+            for p in variants
         )
         assert len(spawns) == slices
         assert len({r["pid"] for r in spawns}) <= 2
