@@ -23,6 +23,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.win32.system import Win32System
 
 
+#: The API facade classes by ``MuT.api``, imported on first use and
+#: kept: core must not import the API packages at module level, and an
+#: import statement per test case costs more than the facade it builds.
+_FACADE_CLASSES: dict[str, type] = {}
+
+
+def _facade_class(api: str) -> type:
+    cls = _FACADE_CLASSES.get(api)
+    if cls is None:
+        if api == "libc":
+            from repro.libc.runtime import CRuntime as cls
+        elif api == "win32":
+            from repro.win32.system import Win32System as cls
+        else:
+            from repro.posix.system import PosixSystem as cls
+        _FACADE_CLASSES[api] = cls
+    return cls
+
+
 class TestContext:
     """Everything one test case may touch."""
 
@@ -57,28 +76,35 @@ class TestContext:
 
     @property
     def crt(self) -> "CRuntime":
-        """The C runtime for this process, in the personality's flavour."""
-        if self._crt is None:
-            from repro.libc.runtime import CRuntime
-
-            self._crt = CRuntime(self.process)
-        return self._crt
+        """The C runtime for this process, in the personality's flavour.
+        A process reused from the machine's image may carry the runtime
+        it retired with; that one is moved into place instead of booting
+        a new one (the same boot routine, so the result is identical)."""
+        crt = self._crt
+        if crt is None:
+            process = self.process
+            crt = process.crt
+            if crt is None:
+                crt = _facade_class("libc")(process)
+            else:
+                process.crt = None
+                crt._boot(process)
+            self._crt = crt
+        return crt
 
     @property
     def win32(self) -> "Win32System":
-        if self._win32 is None:
-            from repro.win32.system import Win32System
-
-            self._win32 = Win32System(self.process)
-        return self._win32
+        facade = self._win32
+        if facade is None:
+            facade = self._win32 = _facade_class("win32")(self.process)
+        return facade
 
     @property
     def posix(self) -> "PosixSystem":
-        if self._posix is None:
-            from repro.posix.system import PosixSystem
-
-            self._posix = PosixSystem(self.process)
-        return self._posix
+        facade = self._posix
+        if facade is None:
+            facade = self._posix = _facade_class("posix")(self.process)
+        return facade
 
     def facade(self, api: str) -> Any:
         """Resolve the facade for a MuT's ``api`` field."""

@@ -207,7 +207,10 @@ class Executor:
     def _teardown(self, ctx: TestContext, values: list, args: list) -> None:
         """Run per-value cleanups and release the process, swallowing
         faults (a broken destructor must not poison classification --
-        but lingering state is exactly what the shared machine keeps)."""
+        but lingering state is exactly what the shared machine keeps).
+        The terminated process, and the C runtime the case booted in it,
+        go back to the machine as the image the next case's process is
+        reset from."""
         for value, arg in zip(values, args):
             if value.cleanup is not None:
                 try:
@@ -215,7 +218,9 @@ class Executor:
                 except (SimFault, MachineCrashed):
                     pass
         ctx.run_cleanups()
+        process = ctx.process
         try:
-            ctx.process.terminate()
+            process.terminate()
         except (SimFault, MachineCrashed):
             pass
+        self.machine.retire_process(process, ctx._crt)

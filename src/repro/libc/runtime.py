@@ -58,6 +58,18 @@ _STREAM_SPECS = (
     (1, False, True, (FLAG_OPEN | FLAG_WRITE).to_bytes(4, "little")),
     (2, False, True, (FLAG_OPEN | FLAG_WRITE).to_bytes(4, "little")),
 )
+#: The seven boot mappings in address order: ``(offset from the
+#: cursor, size, protection, protection as the int ``Region._prot``
+#: mirrors, tag, version after boot)``.  Each FILE header is written
+#: once at boot, so FILE regions boot at version 1.
+_BOOT_MAPPINGS = tuple(
+    (index * _CRT_STEP, size, protection, int(protection), tag, version)
+    for index, (size, protection, tag, version) in enumerate(
+        [(384, Protection.READ, "ctype-table", 0)]
+        + [(16, Protection.RW, "FILE", 1), (64, Protection.RW, "stdio-buf", 0)]
+        * 3
+    )
+)
 
 
 class CRuntime(
@@ -71,6 +83,31 @@ class CRuntime(
     STREAM_BUF_SIZE = 64
 
     def __init__(self, process: "Process") -> None:
+        self._streams: dict[int, StreamState] = {}
+        self._heap: dict[int, object] = {}
+        #: The seven boot mappings in address order (see :meth:`_boot`)
+        #: and the three standard streams' states, kept so a retired
+        #: runtime can be moved into the next case's process; the boot
+        #: routine sets the states' fields.
+        self._boot_regions: list[Region] = []
+        self._std_states = tuple(
+            StreamState(None, False, False, 0, 0) for _ in _STREAM_SPECS
+        )
+        self._boot(process)
+
+    def _boot(self, process: "Process") -> None:
+        """Set every field to what a fresh runtime in ``process`` starts
+        with.
+
+        The one boot routine: construction runs it on empty tables, and
+        ``TestContext.crt`` runs it on a runtime retired with the
+        process (:meth:`Machine.retire_process`), which moves its boot
+        mappings to the current cursor.  A boot mapping is reused only
+        while untouched since boot -- same ``version``, same protection,
+        not freed -- and is built fresh otherwise; the standard streams'
+        states are reset in place.  So a moved runtime equals a cold
+        ``CRuntime(process)`` built after the same allocations.
+        """
         self.process = process
         self.machine = process.machine
         self.mem = process.memory
@@ -78,8 +115,8 @@ class CRuntime(
         self.traits: FlavorTraits = FLAVORS[self.personality.crt_flavor]
         self.error_reported = False
 
-        self._streams: dict[int, StreamState] = {}
-        self._heap: dict[int, object] = {}
+        self._streams.clear()
+        self._heap.clear()
         self._strtok_state = 0
         self._static_tm = 0  # lazily created static buffers
         self._static_str = 0
@@ -96,41 +133,56 @@ class CRuntime(
         mem = self.mem
         faults = mem.faults
         base = mem._cursor
-        stdin_file = process.fds.get(0)
+        fds = process.fds
+        stdin_file = fds.get(0)
         if (faults is None or not faults.active) and base + _CRT_SPAN <= USER_LIMIT:
-            ctype = Region(base, 384, Protection.READ, "ctype-table")
-            self._ctype_region = ctype
+            old = self._boot_regions
+            regions = []
+            for index, (offset, size, protection, prot, tag, version) in enumerate(
+                _BOOT_MAPPINGS
+            ):
+                region = old[index] if old else None
+                if (
+                    region is None
+                    or region.version != version
+                    or region.freed
+                    or region._prot != prot
+                ):
+                    region = Region(base + offset, size, protection, tag)
+                else:
+                    region.start = base + offset
+                regions.append(region)
+            self._ctype_region = regions[0]
             if stdin_file is not None and not stdin_file.node.data:
                 stdin_file.node.data.extend(CONSOLE_INPUT)
-            regions = [ctype]
             streams = self._streams
-            fds = process.fds
-            rw = Protection.RW
-            file_size = self.FILE_SIZE
-            buf_size = self.STREAM_BUF_SIZE
-            offset = _CRT_STEP
-            handles = []
-            for fd, readable, writable, flag_header in _STREAM_SPECS:
-                file_at = base + offset
-                buf_at = file_at + _CRT_STEP
-                file_region = Region(file_at, file_size, rw, "FILE")
-                buf_region = Region(buf_at, buf_size, rw, "stdio-buf")
-                offset += 2 * _CRT_STEP
+            states = self._std_states
+            for index, (fd, readable, writable, flag_header) in enumerate(
+                _STREAM_SPECS
+            ):
+                file_region = regions[2 * index + 1]
+                file_at = file_region.start
+                buf_at = regions[2 * index + 2].start
                 file_region.data[0:8] = flag_header + buf_at.to_bytes(
                     4, "little"
                 )
                 file_region.version = 1
-                streams[file_at] = StreamState(
-                    fds.get(fd), readable, writable, file_at, buf_at
-                )
-                regions.append(file_region)
-                regions.append(buf_region)
-                handles.append(file_at)
+                state = states[index]
+                state.open_file = fds.get(fd)
+                state.readable = readable
+                state.writable = writable
+                state.file_addr = file_at
+                state.buffer_addr = buf_at
+                state.closed = state.eof = state.err = False
+                state.ungot.clear()
+                streams[file_at] = state
             position = bisect_right(mem._starts, base)
             mem._starts[position:position] = [r.start for r in regions]
             mem._regions[position:position] = regions
             mem._cursor = base + _CRT_SPAN
-            self.stdin, self.stdout, self.stderr = handles
+            self._boot_regions = regions
+            # The stream table's keys: the three FILE addresses, in order.
+            self.stdin, self.stdout, self.stderr = streams
         else:
             self._ctype_region = mem.map(
                 384, Protection.READ, tag="ctype-table"
@@ -141,11 +193,12 @@ class CRuntime(
                 stdin_file, readable=True, writable=False
             )
             self.stdout = self._register_stream(
-                process.fds.get(1), readable=False, writable=True
+                fds.get(1), readable=False, writable=True
             )
             self.stderr = self._register_stream(
-                process.fds.get(2), readable=False, writable=True
+                fds.get(2), readable=False, writable=True
             )
+            self._boot_regions = []
 
     # ------------------------------------------------------------------
     # errno / error reporting

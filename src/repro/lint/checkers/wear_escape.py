@@ -47,8 +47,8 @@ class WearEscapeChecker(Checker):
         "wear fingerprint a lie.  The project graph tracks every store\n"
         "and call rooted at a Machine receiver; outside the sanctioned\n"
         "surface (wear_state/restore_wear/wear_residue/reboot/\n"
-        "spawn_process/check_alive, the machine.faults.* injection\n"
-        "plane, read-only probes, and the test-execution layer in\n"
+        "spawn_process/retire_process/check_alive, the machine.faults.*\n"
+        "injection plane, read-only probes, and the test-execution layer in\n"
         "executor/context/values, which is the machine's legitimate\n"
         "driver) every such operation is a finding.  Worked example:\n"
         "\n"

@@ -103,6 +103,10 @@ WEAR_API: dict[str, tuple[str, ...]] = {
         # it, so it is part of the sanctioned lifecycle surface.
         "revert",
         "spawn_process",
+        # The process-image hand-back: ``Executor.run_case`` returns its
+        # terminated process (and C runtime) so the next spawn resets it
+        # in place -- identical to a cold ``Process(machine, pid)``.
+        "retire_process",
         "check_alive",
     ),
     "subobject_prefixes": ("faults", "personality"),

@@ -126,17 +126,57 @@ class Machine:
             self.shared_region = Region(
                 SHARED_BASE, SHARED_ARENA_SIZE, Protection.RW, tag="shared-arena"
             )
+        #: The process image: the last per-case process handed back by
+        #: :meth:`retire_process`, which the next :meth:`spawn_process`
+        #: resets in place.  A booted machine holds none.
+        self._process_image: Process | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def spawn_process(self) -> Process:
-        """Start a fresh process (one Ballista test case runs in one)."""
+        """Start a fresh process (one Ballista test case runs in one).
+
+        When a retired process is held (:meth:`retire_process`) it is
+        reset in place to exactly what ``Process(self, pid)`` builds;
+        otherwise, and always inside an open fault window (whose armed
+        ``"alloc"`` exhaustion must see every boot mapping), the process
+        is constructed cold.
+        """
         self.check_alive()
         pid = self._next_pid
         self._next_pid += 1
-        return Process(self, pid)
+        image = self._process_image
+        if image is None or self.faults.active:
+            return Process(self, pid)
+        self._process_image = None
+        image._boot(self, pid)
+        return image
+
+    def retire_process(self, process: Process, runtime: object = None) -> None:
+        """Hand a terminated per-case process back as the machine's
+        process image, together with the C runtime the case booted in
+        it (``None`` keeps the runtime the process already carries).
+
+        Only ``Executor.run_case`` hands processes back, after
+        ``terminate``; the caller must not touch either object again.
+        A crashed machine keeps nothing: its next process is built cold
+        after the reboot.
+        """
+        if self.crashed or not process.exited:
+            return
+        if runtime is not None:
+            process.crt = runtime
+        # Held objects point back at no machine and form no cycle, so a
+        # machine that is dropped (a warm worker's finished spec) is
+        # freed at once, image included, as before there was an image.
+        # The boot routines set both fields again.
+        runtime = process.crt
+        if runtime is not None:
+            runtime.machine = runtime.process = None
+        process.machine = None
+        self._process_image = process
 
     def reboot(self) -> None:
         """Power-cycle after a crash: fresh filesystem, shared arena and

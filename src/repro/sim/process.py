@@ -15,7 +15,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.sim.filesystem import FileNode, FileSystemError, OpenFile, Pipe
-from repro.sim.memory import USER_BASE, AddressSpace, Protection, Region
+from repro.sim.memory import (
+    SHARED_BASE,
+    USER_BASE,
+    AddressSpace,
+    Protection,
+    Region,
+)
 from repro.sim.objects import HandleTable, ProcessObject, ThreadObject
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,6 +39,9 @@ _STACK_SIZE = 0x4000
 _STACK_AT = (_CODE_AT + _CODE_SIZE + 8191) & ~4095
 _BOOT_CURSOR = (_STACK_AT + _STACK_SIZE + 8191) & ~4095
 assert _CODE_AT == USER_BASE and _STACK_AT > _CODE_AT + _CODE_SIZE
+#: Boot protections as the plain ints ``Region._prot`` mirrors.
+_RX = int(Protection.RX)
+_RW = int(Protection.RW)
 
 
 class PipeEnd:
@@ -91,17 +100,54 @@ class Process:
         "_next_tid",
         "kernel_object",
         "main_thread",
+        "_console",
         "crt",
     )
 
     def __init__(self, machine: "Machine", pid: int) -> None:
+        self.memory = AddressSpace(
+            strict_alignment=machine.personality.strict_alignment
+        )
+        self.handles = HandleTable()
+        self.fds: dict[int, OpenFile | PipeEnd] = {}
+        self.code_region: Region | None = None
+        self.stack_region: Region | None = None
+        # fds 0/1/2 on a console device node (not linked into the
+        # filesystem tree, like a character device); :meth:`_boot` sets
+        # their fields.
+        console = FileNode("<console>", 0)
+        self._console = (
+            console,
+            OpenFile(console, readable=True, writable=False),
+            OpenFile(console, readable=False, writable=True),
+            OpenFile(console, readable=False, writable=True),
+        )
+        #: The C runtime this process retired with (see
+        #: :meth:`Machine.retire_process`); the next case's
+        #: ``TestContext.crt`` moves it into the reused process instead
+        #: of booting a new one.  ``None`` while no runtime is retired.
+        self.crt: object | None = None
+        self._boot(machine, pid)
+
+    def _boot(self, machine: "Machine", pid: int) -> None:
+        """Set every field to what a fresh process starts with.
+
+        The one boot routine: construction runs it on new containers,
+        and :meth:`Machine.spawn_process` runs it on the machine's
+        retired process (its *image*), so a reused process equals
+        ``Process(machine, pid)`` field for field.  The image keeps its
+        address space, handle table, fd dict and console objects, and
+        its code and stack regions while they are untouched since boot:
+        same ``version``, same protection, not freed.  The kernel
+        objects are built fresh.
+        """
         self.machine = machine
         self.personality = machine.personality
         self.pid = pid
-        memory = AddressSpace(strict_alignment=self.personality.strict_alignment)
-        self.memory = memory
+        memory = self.memory
         faults = machine.faults
         memory.faults = faults
+        memory._shared_cursor = SHARED_BASE
         #: Code and stack mappings so "pointer into code" / "stack
         #: pointer" test values have somewhere real to point.  The fast
         #: path below is byte-identical to mapping them through
@@ -110,6 +156,9 @@ class Process:
         #: path so armed "alloc" exhaustion fires exactly as before.
         shared = machine.shared_region
         if faults is not None and faults.active:
+            memory._starts = []
+            memory._regions = []
+            memory._cursor = USER_BASE
             if shared is not None:
                 memory.attach(shared)
             self.code_region = memory.map(
@@ -119,10 +168,19 @@ class Process:
                 _STACK_SIZE, Protection.RW, tag="stack"
             )
         else:
-            code = Region(_CODE_AT, _CODE_SIZE, Protection.RX, "code")
-            stack = Region(_STACK_AT, _STACK_SIZE, Protection.RW, "stack")
-            self.code_region = code
-            self.stack_region = stack
+            code = self.code_region
+            if code is None or code.version or code.freed or code._prot != _RX:
+                code = Region(_CODE_AT, _CODE_SIZE, Protection.RX, "code")
+                self.code_region = code
+            stack = self.stack_region
+            if (
+                stack is None
+                or stack.version
+                or stack.freed
+                or stack._prot != _RW
+            ):
+                stack = Region(_STACK_AT, _STACK_SIZE, Protection.RW, "stack")
+                self.stack_region = stack
             if shared is not None:
                 memory._starts = [_CODE_AT, _STACK_AT, shared.start]
                 memory._regions = [code, stack, shared]
@@ -131,9 +189,10 @@ class Process:
                 memory._regions = [code, stack]
             memory._cursor = _BOOT_CURSOR
 
-        self.handles = HandleTable()
-        self.handles.faults = machine.faults
-        self.fds: dict[int, OpenFile | PipeEnd] = {}
+        handles = self.handles
+        handles._slots.clear()
+        handles._next = 0x4
+        handles.faults = faults
         self.errno = 0
         self.last_error = 0
         self._environ: dict[str, str] | None = None
@@ -149,17 +208,26 @@ class Process:
         self._next_tid = tid + 1
         self.kernel_object = ProcessObject(pid, name=f"pid{pid}")
         self.main_thread = ThreadObject(tid)
-        #: Per-process C runtime state, created lazily by repro.libc.
-        self.crt: object | None = None
 
-        # Pre-open fds 0/1/2 on a console device node (not linked into
-        # the filesystem tree, like a character device).
+        # Pre-open fds 0/1/2 on the console, stdin read-only and
+        # stdout/stderr write-only, with an empty, just-created node.
         now = machine.clock.tick_count
-        console = FileNode("<console>", now())
+        console, *files = self._console
+        console.created_at = console.modified_at = console.accessed_at = now()
+        console.read_only = console.hidden = console.protected = False
+        console.mode = 0o644
+        console.data = bytearray()
+        console.nlink = 1
         fds = self.fds
-        fds[0] = OpenFile(console, readable=True, writable=False, now=now)
-        fds[1] = OpenFile(console, readable=False, writable=True, now=now)
-        fds[2] = OpenFile(console, readable=False, writable=True, now=now)
+        fds.clear()
+        for fd, open_file in enumerate(files):
+            open_file.readable = not fd
+            open_file.writable = bool(fd)
+            open_file.append = False
+            open_file.offset = 0
+            open_file.closed = False
+            open_file._now = now
+            fds[fd] = open_file
 
     # ------------------------------------------------------------------
     # Threads
