@@ -220,6 +220,7 @@ class Campaign:
         config: CampaignConfig | None = None,
         muts: Iterable[str] | None = None,
         shard: dict | None = None,
+        generator: CaseGenerator | None = None,
     ) -> None:
         """
         :param variants: OS personalities to test.
@@ -233,12 +234,26 @@ class Campaign:
             (the exact serial wear at the slice's first position;
             ``None`` = fresh boot), so the slice classifies byte-
             identically to the same positions of a serial run.
+        :param generator: a :class:`CaseGenerator` over ``types`` at the
+            config's cap whose memoized plans to reuse (plans are pure
+            functions of ``(MuT name, pools, cap)``, so campaigns may
+            share one); default: a fresh one.
         """
         self.variants = list(variants)
         self.registry = registry or default_registry()
         self.types = types or default_types()
         self.config = config or CampaignConfig()
-        self.generator = CaseGenerator(self.types, cap=self.config.cap)
+        self.generator = generator or CaseGenerator(
+            self.types, cap=self.config.cap
+        )
+        if (
+            self.generator.cap != self.config.cap
+            or self.generator.types is not self.types
+        ):
+            raise ValueError(
+                "a shared case generator must match the campaign's cap "
+                "and type registry"
+            )
         self._mut_filter = set(muts) if muts is not None else None
         if shard is not None and len(self.variants) != 1:
             raise ValueError(

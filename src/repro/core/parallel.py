@@ -53,9 +53,11 @@ from repro.core.campaign import (
     check_resume,
     plan_identities,
 )
+from repro.core.generator import CaseGenerator
 from repro.core.pool import WorkerPool
 from repro.core.results import ResultSet
 from repro.core.supervisor import SupervisorPolicy
+from repro.core.types import ParamType, default_types
 from repro.obs import events as obs_events
 from repro.obs.recorder import Recorder
 from repro.core.results_io import (
@@ -261,19 +263,52 @@ def _personality_by_key(key: str) -> Personality:
     raise KeyError(f"unknown variant key {key!r}")
 
 
-def _variant_worker(spec: dict, events) -> None:
+class _GeneratorMemo:
+    """A pool worker's case generator, kept across the specs it runs.
+
+    Plans are pure functions of ``(MuT name, pools, cap)``, so every
+    slice of one run reuses one generator's plans, finder tables and
+    resolve memo -- as the serial path shares one generator across all
+    of its variants -- instead of rebuilding them per slice.  The memo
+    holds one generator, keyed on the cap, the MuT-name filter and
+    :attr:`ParamType._generation`: a spec that differs in any of them
+    replaces it.  A worker therefore holds at most one plan set (about
+    18 MB for every MuT at cap 300), and a service worker no more than
+    its current job's."""
+
+    def __init__(self) -> None:
+        self._key: tuple | None = None
+        self._generator: CaseGenerator | None = None
+
+    def get(self, cap: int, muts: Iterable[str] | None) -> CaseGenerator:
+        types = default_types()
+        key = (
+            cap,
+            None if muts is None else frozenset(muts),
+            ParamType._generation,
+        )
+        if key != self._key:
+            self._generator = None  # release the old plan set first
+            self._generator = CaseGenerator(types, cap=cap)
+            self._key = key
+        return self._generator
+
+
+def _variant_worker(spec: dict, events, generators: _GeneratorMemo) -> None:
     """Run one spec -- a variant's slice -- inside a pooled worker.
 
     ``spec`` is a plain picklable dict (variant key, MuT-name filter,
     config fields, shard path, resume document, quarantine verdicts,
     heartbeat throttle); everything else -- registries, generator,
-    machine -- is rebuilt inside the worker.  Emits ``("progress",
+    machine -- is built inside the worker.  Emits ``("progress",
     tag, mut, position, total)`` events while running, throttled
     ``("heartbeat", tag, "api:name", case_index)`` liveness beacons
     for the supervisor's wall-clock watchdog, and finishes with either
     ``("done", tag, checkpoint_dict)`` or ``("error", tag,
-    traceback_text)``.  Everything it builds is local to the call, so a
-    warm worker runs the next spec exactly as a cold one would.
+    traceback_text)``.  Everything it builds is local to the call except
+    the case generator, which comes from the worker's ``generators``
+    memo: its plans are pure functions of their inputs, so a warm worker
+    runs the next spec exactly as a cold one would.
 
     ``tag`` is ``spec["tag"]`` when present, else the variant key.  The
     campaign runners never set one (their unit of work *is* the
@@ -291,6 +326,7 @@ def _variant_worker(spec: dict, events) -> None:
             config=config,
             muts=spec["muts"],
             shard=spec.get("shard"),
+            generator=generators.get(config.cap, spec["muts"]),
         )
         shard = spec["shard_path"]
         resume = None
@@ -385,6 +421,10 @@ class _SeamPlanner:
     ``resumed`` slices (their basis is a checkpoint document, the same
     trust extended to any resume) settle without a seam check, exactly
     as :func:`merge_checkpoints` treats them.
+
+    Seam checks compare fingerprints from :meth:`fingerprint`, which
+    dumps each wear image once however often the cascade re-walks a
+    chain; the final merge reuses them.
     """
 
     def __init__(self) -> None:
@@ -395,7 +435,19 @@ class _SeamPlanner:
         self._spawned: set[str] = set()
         #: variant -> {plan position -> settled wear} for the atlas.
         self._learned: dict[str, dict[int, dict]] = {}
+        #: id(wear image) -> (the image, its fingerprint); holding the
+        #: image keeps its id from being reused within the run.
+        self._fingerprints: dict[int, tuple[dict, str]] = {}
         self.replays = 0
+
+    def fingerprint(self, wear: dict | None) -> str:
+        """:func:`wear_fingerprint`, memoized per wear image object."""
+        if wear is None:
+            return wear_fingerprint(None)
+        hit = self._fingerprints.get(id(wear))
+        if hit is None:
+            hit = self._fingerprints[id(wear)] = (wear, wear_fingerprint(wear))
+        return hit[1]
 
     def add_settled(
         self,
@@ -480,8 +532,8 @@ class _SeamPlanner:
             info = done.shard or {}
             if info.get("resumed") or (
                 prev_known
-                and wear_fingerprint(info.get("base_wear"))
-                == wear_fingerprint(prev_end)
+                and self.fingerprint(info.get("base_wear"))
+                == self.fingerprint(prev_end)
             ):
                 item["settled"] = True
                 item["end_known"] = True
@@ -711,10 +763,14 @@ class ParallelCampaign:
                 specs = self._build_specs(resume, shard_base, common)
                 synthetic = []
             shards = self._run_workers(pool, specs, progress, recorder)
+            planner = self._planner
             merged = merge_checkpoints(
                 synthetic + [shards[spec["tag"]] for spec in specs],
                 cap=self.config.cap,
                 variants=keys,
+                fingerprint=(
+                    wear_fingerprint if planner is None else planner.fingerprint
+                ),
             )
             merged.complete = True
             self._save_atlas_seams()

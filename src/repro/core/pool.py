@@ -7,10 +7,13 @@ A cold spawn re-imports :mod:`repro`, rebuilds the registries and boots
 a machine before it runs anything; on small specs that start-up dwarfs
 the cases.  :class:`WorkerPool` starts workers lazily, up to its size,
 and keeps each alive on its own inbox, so the next spec finds a warm
-interpreter.  A worker keeps only process-wide state (imports,
-registries, boot templates, memoised plan and value pools); each spec's
-``Machine``, ``ResultSet``, recorder and fault injector die with the
-call, so a warm worker's output is byte-identical to a cold one's.
+interpreter.  A worker keeps only process-wide state: imports,
+registries, boot templates, and one case generator with its memoised
+plan and value pools (a one-entry memo, replaced when a spec's cap or
+MuT-name filter differs, so it holds at most one plan set -- about
+18 MB at cap 300 for every MuT).  Each spec's ``Machine``,
+``ResultSet``, recorder and fault injector die with the call, so a
+warm worker's output is byte-identical to a cold one's.
 
 Every spec ends in one ``("done", tag, ...)`` or ``("error", tag,
 ...)`` message; the owner then calls :meth:`WorkerPool.release`.  Each
@@ -32,11 +35,12 @@ import types
 def _pool_worker(inbox, outbox) -> None:
     """Child-process entry point: run every spec put on ``inbox`` until
     the parent sends ``None``."""
-    from repro.core.parallel import _variant_worker
+    from repro.core.parallel import _GeneratorMemo, _variant_worker
 
     events = types.SimpleNamespace(put=outbox.send)
+    generators = _GeneratorMemo()
     for spec in iter(inbox.get, None):
-        _variant_worker(spec, events)
+        _variant_worker(spec, events, generators)
 
 
 class _Worker:

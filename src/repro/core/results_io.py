@@ -73,20 +73,28 @@ def _row_stamp(row) -> tuple:
     )
 
 
-def _row_to_dict(row) -> dict:
-    """Serialise one result row, memoized on the row object.
+#: The one JSON encoder behind every saved document: compact separators,
+#: otherwise ``json.dumps``'s defaults, so pieces it encodes separately
+#: join into exactly the text ``json.dumps`` gives the whole document.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
-    Periodic checkpointing used to re-serialise every completed row on
-    every save -- O(rows²) hex-encoding over a long campaign.  Rows are
-    completed before the cursor moves past them and never mutate again,
-    so the serialised dict is cached on the row and reused by every
-    later checkpoint/result save; :func:`_row_stamp` guards the cache
-    against the append-only mutations an in-flight row can still see.
+
+def _row_cache(row) -> list:
+    """``[stamp, dict, JSON text or None]`` for one result row,
+    memoized on the row object.
+
+    Periodic checkpointing would otherwise hex- and JSON-encode every
+    completed row on every save -- O(rows²) over a long campaign.  Rows
+    are completed before the cursor moves past them and never mutate
+    again, so both the serialised dict and its JSON text (encoded on
+    first use) are cached on the row and reused by every later
+    checkpoint/result save; :func:`_row_stamp` guards the cache against
+    the append-only mutations an in-flight row can still see.
     """
     cached = getattr(row, "_serialized", None)
     stamp = _row_stamp(row)
     if cached is not None and cached[0] == stamp:
-        return cached[1]
+        return cached
     entry = {
         "variant": row.variant,
         "mut": row.mut_name,
@@ -109,13 +117,35 @@ def _row_to_dict(row) -> dict:
         # Version-3 sequence-record extension; omitted on per-case
         # rows so case-mode documents keep their version-2 shape.
         entry["sequence"] = row.sequence
-    row._serialized = (stamp, entry)
-    return entry
+    cached = row._serialized = [stamp, entry, None]
+    return cached
 
 
-def results_to_dict(results: ResultSet) -> dict:
-    """Serialise a ResultSet to plain JSON-compatible data."""
-    rows = [_row_to_dict(row) for row in results]
+def _row_json(row) -> str:
+    """One result row's JSON text, encoded once per row state."""
+    cached = _row_cache(row)
+    if cached[2] is None:
+        cached[2] = _dumps(cached[1])
+    return cached[2]
+
+
+def _spliced(document: dict, key: str, text: str) -> str:
+    """``_dumps(document)`` where ``document[key]`` is already encoded
+    as ``text``: a JSON object is its members' encodings joined, so the
+    splice is byte-identical to encoding the whole document."""
+    return (
+        "{"
+        + ",".join(
+            _dumps(name) + ":" + (text if name == key else _dumps(value))
+            for name, value in document.items()
+        )
+        + "}"
+    )
+
+
+def _results_document(results: ResultSet, rows) -> dict:
+    """The ``ballista-results`` document with ``rows`` in its
+    ``results`` slot."""
     document = {
         "format": "ballista-results",
         "version": FORMAT_VERSION,
@@ -142,6 +172,80 @@ def results_to_dict(results: ResultSet) -> dict:
     return document
 
 
+def results_to_dict(results: ResultSet) -> dict:
+    """Serialise a ResultSet to plain JSON-compatible data."""
+    return _results_document(results, [_row_cache(row)[1] for row in results])
+
+
+def _results_json(results: ResultSet) -> str:
+    """``json.dumps(results_to_dict(results), separators=(",", ":"))``,
+    from each row's cached JSON text."""
+    rows = "[" + ",".join(map(_row_json, results)) + "]"
+    return _spliced(_results_document(results, None), "results", rows)
+
+
+#: Valid case-code bytes, the ones that keep a failing case's value
+#: names (:attr:`CaseCode.is_failure`), and a ``bytes.translate`` table
+#: mapping every nonzero exceptional byte to 1 (the flag is a bool).
+_CODE_BYTES = bytes(int(code) for code in CaseCode)
+_FAILURE_CODES = frozenset(int(code) for code in CaseCode if code.is_failure)
+_TRUTH = bytes([0] + [1] * 255)
+
+
+def _row_from_dict(results: ResultSet, row: dict) -> None:
+    """Rebuild one result row in place of replaying its cases.
+
+    The fields come out exactly as :meth:`MuTResult.record`, called once
+    per case, would leave them: exceptional flags as 0/1, error codes
+    masked to 32 bits, details only for in-range cases with a text,
+    value names only for in-range failing cases, both in case order,
+    and ``catastrophic`` set by any Catastrophic code.  A row whose
+    per-case arrays disagree in length raises :class:`ValueError`."""
+    result = results.new_result(
+        row["variant"], row["mut"], row["api"], row["group"]
+    )
+    codes = bytearray.fromhex(row["codes"])
+    exceptional = bytearray.fromhex(row["exceptional"])
+    count = len(codes)
+    error_codes = row.get("error_codes") or [0] * count
+    if len(exceptional) != count or len(error_codes) != count:
+        raise ValueError(
+            f"{count} codes but {len(exceptional)} exceptional flags "
+            f"and {len(error_codes)} error codes"
+        )
+    if codes.translate(None, _CODE_BYTES):
+        raise ValueError("unknown case code")
+    # Detail texts and value names repeat across cases, rows and
+    # documents; interning keeps one copy of each in a process that
+    # holds many loaded result sets (a service, its clients).
+    details = {
+        int(k): sys.intern(v) for k, v in row.get("details", {}).items()
+    }
+    failing = {
+        int(k): tuple(map(sys.intern, v))
+        for k, v in row.get("failing_cases", {}).items()
+    }
+    result.codes = codes
+    result.exceptional = exceptional.translate(_TRUTH)
+    result.error_codes = [code & 0xFFFF_FFFF for code in error_codes]
+    result.details = {
+        index: details[index]
+        for index in sorted(details)
+        if 0 <= index < count and details[index]
+    }
+    result.failing_cases = {
+        index: failing[index]
+        for index in sorted(failing)
+        if 0 <= index < count and codes[index] in _FAILURE_CODES
+    }
+    result.catastrophic = int(CaseCode.CATASTROPHIC) in codes
+    result.interference_crash = bool(row.get("interference"))
+    result.planned_cases = int(row.get("planned", count))
+    result.capped = bool(row.get("capped"))
+    if row.get("sequence") is not None:
+        result.sequence = dict(row["sequence"])
+
+
 def results_from_dict(document: dict) -> ResultSet:
     """Rebuild a ResultSet from :func:`results_to_dict` output."""
     if document.get("format") != "ballista-results":
@@ -153,37 +257,8 @@ def results_from_dict(document: dict) -> ResultSet:
     results = ResultSet()
     for row in document.get("results", []):
         try:
-            result = results.new_result(
-                row["variant"], row["mut"], row["api"], row["group"]
-            )
-            codes = bytes.fromhex(row["codes"])
-            exceptional = bytes.fromhex(row["exceptional"])
-            error_codes = row.get("error_codes") or [0] * len(codes)
-            # Detail texts and value names repeat across cases, rows and
-            # documents; interning keeps one copy of each in a process
-            # that holds many loaded result sets (a service, its clients).
-            details = {
-                int(k): sys.intern(v) for k, v in row.get("details", {}).items()
-            }
-            failing = {
-                int(k): tuple(map(sys.intern, v))
-                for k, v in row.get("failing_cases", {}).items()
-            }
-            for index, (code, exc) in enumerate(zip(codes, exceptional)):
-                result.record(
-                    index,
-                    CaseCode(code),
-                    bool(exc),
-                    detail=details.get(index, ""),
-                    value_names=failing.get(index),
-                    error_code=error_codes[index],
-                )
-            result.interference_crash = bool(row.get("interference"))
-            result.planned_cases = int(row.get("planned", len(codes)))
-            result.capped = bool(row.get("capped"))
-            if row.get("sequence") is not None:
-                result.sequence = dict(row["sequence"])
-        except (KeyError, ValueError, TypeError) as exc:
+            _row_from_dict(results, row)
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ResultFormatError(f"malformed result row: {exc}") from exc
     for variant in document.get("partial", []):
         results.mark_partial(variant)
@@ -213,8 +288,7 @@ def _atomic_write(path: str | pathlib.Path, text: str) -> None:
 
 def save_results(results: ResultSet, path: str | pathlib.Path) -> None:
     """Write a ResultSet to ``path`` as JSON."""
-    document = results_to_dict(results)
-    _atomic_write(path, json.dumps(document, separators=(",", ":")))
+    _atomic_write(path, _results_json(results))
 
 
 def load_results(path: str | pathlib.Path) -> ResultSet:
@@ -321,7 +395,9 @@ def checkpoint_plan(config) -> dict | None:
     }
 
 
-def checkpoint_to_dict(checkpoint: CampaignCheckpoint) -> dict:
+def _checkpoint_document(checkpoint: CampaignCheckpoint, results) -> dict:
+    """The checkpoint document with ``results`` in its ``results``
+    slot."""
     document = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -333,7 +409,7 @@ def checkpoint_to_dict(checkpoint: CampaignCheckpoint) -> dict:
             variant: dict(wear)
             for variant, wear in checkpoint.machine_wear.items()
         },
-        "results": results_to_dict(checkpoint.results),
+        "results": results,
     }
     if checkpoint.supervision:
         document["supervision"] = [dict(e) for e in checkpoint.supervision]
@@ -342,6 +418,12 @@ def checkpoint_to_dict(checkpoint: CampaignCheckpoint) -> dict:
     if checkpoint.plan is not None:
         document["plan"] = dict(checkpoint.plan)
     return document
+
+
+def checkpoint_to_dict(checkpoint: CampaignCheckpoint) -> dict:
+    return _checkpoint_document(
+        checkpoint, results_to_dict(checkpoint.results)
+    )
 
 
 def checkpoint_from_dict(document: dict) -> CampaignCheckpoint:
@@ -487,6 +569,7 @@ def merge_checkpoints(
     shards: list,
     cap: int = 0,
     variants: list[str] | None = None,
+    fingerprint=wear_fingerprint,
 ) -> CampaignCheckpoint:
     """Merge per-variant shards back into one campaign checkpoint.
 
@@ -513,7 +596,11 @@ def merge_checkpoints(
     and the merged document is left incomplete for a resume to re-earn
     them.  The spliced output is byte-identical to the serial document:
     rows serialise sorted by key, the cursor lands on the last proven
-    seam, and the wear image is the chain frontier's."""
+    seam, and the wear image is the chain frontier's.
+
+    ``fingerprint`` computes the seam fingerprints (default
+    :func:`wear_fingerprint`); a caller that already fingerprinted the
+    shards' wear images passes its memo so each is dumped once."""
     merged = CampaignCheckpoint(
         ResultSet(),
         cap=cap,
@@ -558,9 +645,9 @@ def merge_checkpoints(
     ordered = [v for v in (variants or []) if v in sliced]
     ordered += sorted(v for v in sliced if v not in set(ordered))
     for variant in ordered:
-        complete = _merge_slice_chain(merged, variant, sliced[variant]) and (
-            complete
-        )
+        complete = _merge_slice_chain(
+            merged, variant, sliced[variant], fingerprint
+        ) and complete
     merged.complete = complete
     return merged
 
@@ -569,6 +656,7 @@ def _merge_slice_chain(
     merged: CampaignCheckpoint,
     variant: str,
     entries: list[CampaignCheckpoint],
+    fingerprint=wear_fingerprint,
 ) -> bool:
     """Splice one variant's intra-variant slices into ``merged`` as far
     as the seam-validated chain reaches; returns True when the chain
@@ -580,7 +668,6 @@ def _merge_slice_chain(
         )
     )
     position = 0
-    frontier_fp = wear_fingerprint(None)
     cursor: int | None = None
     wear: dict | None = None
     merged_upto = 0
@@ -597,7 +684,7 @@ def _merge_slice_chain(
             )
             break
         if not info.get("resumed") and (
-            wear_fingerprint(info.get("base_wear")) != frontier_fp
+            fingerprint(info.get("base_wear")) != fingerprint(wear)
         ):
             warnings.warn(
                 f"shard [{variant}#{info.get('index')}] base wear does "
@@ -611,7 +698,7 @@ def _merge_slice_chain(
         if variant in entry.cursors:
             cursor = entry.cursors[variant]
         if variant in entry.machine_wear:
-            wear = dict(entry.machine_wear[variant])
+            wear = entry.machine_wear[variant]
         merged_upto = count + 1
         if not entry.complete:
             if count + 1 < len(entries):
@@ -624,11 +711,10 @@ def _merge_slice_chain(
                 )
             break
         position = stop
-        frontier_fp = wear_fingerprint(wear)
     if cursor is not None:
         merged.cursors[variant] = cursor
     if wear is not None:
-        merged.machine_wear[variant] = wear
+        merged.machine_wear[variant] = dict(wear)
     return merged_upto == len(entries) and all(
         entry.complete for entry in entries
     )
@@ -637,10 +723,15 @@ def _merge_slice_chain(
 def save_checkpoint(
     checkpoint: CampaignCheckpoint, path: str | pathlib.Path
 ) -> None:
-    """Atomically write a checkpoint document to ``path``."""
-    _atomic_write(
-        path, json.dumps(checkpoint_to_dict(checkpoint), separators=(",", ":"))
+    """Atomically write a checkpoint document to ``path``: the text of
+    ``json.dumps(checkpoint_to_dict(checkpoint), separators=(",", ":"))``,
+    with each row's JSON encoded once and reused by later saves."""
+    text = _spliced(
+        _checkpoint_document(checkpoint, None),
+        "results",
+        _results_json(checkpoint.results),
     )
+    _atomic_write(path, text)
 
 
 def load_checkpoint(path: str | pathlib.Path) -> CampaignCheckpoint:

@@ -139,6 +139,52 @@ class TestPersistence:
                 }
             )
 
+    @staticmethod
+    def _one_row_document(**fields) -> dict:
+        """A results document holding one ten-case row, with ``fields``
+        overriding the row's well-formed defaults."""
+        row = {
+            "variant": "winnt",
+            "mut": "CloseHandle",
+            "api": "win32",
+            "group": "process",
+            "codes": "01" * 10,
+            "exceptional": "00" * 10,
+            "error_codes": [6] * 10,
+        }
+        row.update(fields)
+        return {"format": "ballista-results", "version": 3, "results": [row]}
+
+    def test_well_formed_row_loads_all_its_cases(self):
+        row = results_from_dict(self._one_row_document()).get(
+            "winnt", "CloseHandle"
+        )
+        assert len(row.codes) == 10
+        assert row.error_codes == [6] * 10
+
+    def test_rejects_short_error_codes(self):
+        """Fewer error codes than cases is a format error, not a bare
+        IndexError escaping every caller that sets unreadable shards
+        aside on ResultFormatError."""
+        with pytest.raises(ResultFormatError, match="error codes"):
+            results_from_dict(self._one_row_document(error_codes=[6] * 9))
+
+    def test_rejects_short_exceptional_flags(self):
+        """Ten codes with nine exceptional flags must not load as nine
+        cases."""
+        with pytest.raises(ResultFormatError, match="exceptional"):
+            results_from_dict(self._one_row_document(exceptional="00" * 9))
+
+    def test_rejects_long_per_case_arrays(self):
+        with pytest.raises(ResultFormatError):
+            results_from_dict(self._one_row_document(exceptional="00" * 11))
+        with pytest.raises(ResultFormatError):
+            results_from_dict(self._one_row_document(error_codes=[6] * 11))
+
+    def test_rejects_unknown_case_code(self):
+        with pytest.raises(ResultFormatError, match="case code"):
+            results_from_dict(self._one_row_document(codes="01" * 9 + "08"))
+
     def test_rejects_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

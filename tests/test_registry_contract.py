@@ -85,6 +85,21 @@ def test_no_duplicate_registrations(registry):
         seen.add(key)
 
 
+def test_muts_sharing_a_name_share_param_types(registry):
+    """The case generator keys plans, finder tables and value
+    resolutions on the bare MuT name, and one generator serves every
+    spec a pool worker runs.  Two MuTs with one name (``libc:rename``
+    and ``posix:rename``) must therefore take the same parameter types,
+    or one would run the other's cases."""
+    first_of: dict[str, object] = {}
+    for mut in registry.all():
+        first = first_of.setdefault(mut.name, mut)
+        assert mut.param_types == first.param_types, (
+            f"{mut.api}:{mut.name} takes {mut.param_types}, but "
+            f"{first.api}:{first.name} takes {first.param_types}"
+        )
+
+
 def test_ce_unicode_twins_complete(registry):
     registered = {
         m.name for m in registry.by_api("libc") if m.charset == "unicode"

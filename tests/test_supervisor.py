@@ -327,6 +327,29 @@ class TestCorruptShard:
         assert (tmp_path / "campaign.json.win98.shard.corrupt").exists()
         assert not bad_path.exists()
 
+    @pytest.mark.parametrize("field", ["error_codes", "exceptional"])
+    def test_shard_with_a_short_row_array_is_quarantined(
+        self, tmp_path, field
+    ):
+        """A row whose per-case arrays disagree in length is a format
+        error: the shard is set aside, not a crash of the merge."""
+        good = self._shard("linux", 15)
+        bad_path = tmp_path / "campaign.json.win98.shard"
+        save_checkpoint(self._shard("win98", 15), bad_path)
+        document = json.loads(bad_path.read_text())
+        row = document["results"]["results"][0]
+        # Drop the last case: one list entry, or one hex-encoded byte.
+        row[field] = row[field][: -1 if field == "error_codes" else -2]
+        bad_path.write_text(json.dumps(document))
+        with pytest.warns(UserWarning, match=str(bad_path)):
+            merged = merge_checkpoints(
+                [good, str(bad_path)], cap=15, variants=["linux", "win98"]
+            )
+        assert not merged.complete
+        assert merged.results.variants() == ["linux"]
+        assert (tmp_path / "campaign.json.win98.shard.corrupt").exists()
+        assert not bad_path.exists()
+
     def test_missing_shard_path_is_quarantined(self, tmp_path):
         good = self._shard("linux", 15)
         gone = tmp_path / "never-written.shard"
