@@ -63,32 +63,12 @@ class Executor:
         process = machine.spawn_process()
         ctx = TestContext(machine, process)
         values, exceptional = self.generator.resolve_case(mut, case)
-
-        # -- constructors ------------------------------------------------
         args: list = []
-        try:
-            for value in values:
-                args.append(value.construct(ctx))
-        except SystemCrash as exc:
-            return CaseOutcome(
-                CaseCode.CATASTROPHIC, str(exc), exceptional, case.value_names
-            )
-        except (SimFault, FileSystemError) as exc:
-            self._teardown(ctx, values, args)
-            return CaseOutcome(
-                CaseCode.SETUP_SKIP,
-                f"constructor failed: {exc}",
-                exceptional,
-                case.value_names,
-            )
-
-        # -- the call under test ------------------------------------------
-        outcome = self._call_under_test(
-            ctx, mut, args, exceptional, case.value_names
+        outcome = self._construct_and_call(
+            ctx, mut, case.value_names, values, exceptional, args
         )
-
-        # -- destructors ---------------------------------------------------
-        if not self.machine.crashed:
+        # -- destructors (a crashed machine keeps nothing to release) -----
+        if not machine.crashed:
             self._teardown(ctx, values, args)
         return outcome
 
@@ -118,40 +98,56 @@ class Executor:
         """
         self.machine.check_alive()
         values, exceptional = self.generator.resolve_case(mut, case)
+        return self._construct_and_call(
+            ctx, mut, case.value_names, values, exceptional, [], inject_fault
+        )
 
-        args: list = []
+    def _construct_and_call(
+        self,
+        ctx: TestContext,
+        mut: MuT,
+        value_names: tuple[str, ...],
+        values: list,
+        exceptional: bool,
+        args: list,
+        inject_fault: bool = False,
+    ) -> CaseOutcome:
+        """Construct ``values`` into ``args`` inside ``ctx``'s process,
+        then make the classified call (the path :meth:`run_case` and
+        :meth:`run_step` share).  A constructor that crashes the machine
+        is Catastrophic and one that faults skips the case; either way
+        the call never happens.  An armed call is probed for the
+        failure-atomicity residue :meth:`run_step` describes."""
         try:
             for value in values:
                 args.append(value.construct(ctx))
         except SystemCrash as exc:
             return CaseOutcome(
-                CaseCode.CATASTROPHIC, str(exc), exceptional, case.value_names
+                CaseCode.CATASTROPHIC, str(exc), exceptional, value_names
             )
         except (SimFault, FileSystemError) as exc:
             return CaseOutcome(
                 CaseCode.SETUP_SKIP,
                 f"constructor failed: {exc}",
                 exceptional,
-                case.value_names,
+                value_names,
             )
-
-        faults = self.machine.faults
-        residue_before = self.machine.wear_residue() if inject_fault else None
+        if not inject_fault:
+            return self._call_under_test(
+                ctx, mut, args, exceptional, value_names
+            )
+        machine = self.machine
+        faults = machine.faults
+        residue_before = machine.wear_residue()
         fired_before = faults.fired
         outcome = self._call_under_test(
-            ctx,
-            mut,
-            args,
-            exceptional,
-            case.value_names,
-            inject_fault=inject_fault,
+            ctx, mut, args, exceptional, value_names, inject_fault=True
         )
         if (
-            inject_fault
-            and faults.fired > fired_before
+            faults.fired > fired_before
             and outcome.code in (CaseCode.PASS_ERROR, CaseCode.ABORT)
-            and not self.machine.crashed
-            and self.machine.wear_residue() != residue_before
+            and not machine.crashed
+            and machine.wear_residue() != residue_before
         ):
             detail = (
                 f"failed call left wear residue under "
@@ -163,7 +159,7 @@ class Executor:
                 CaseCode.FAULT_ATOMICITY,
                 detail,
                 exceptional,
-                case.value_names,
+                value_names,
                 error_code=outcome.error_code,
             )
         return outcome
@@ -177,8 +173,7 @@ class Executor:
         value_names: tuple[str, ...],
         inject_fault: bool = False,
     ) -> CaseOutcome:
-        """Invoke the MuT and classify the result (shared by the
-        per-case and sequence-step paths)."""
+        """Invoke the MuT and classify the result."""
         ctx.reset_error_state()
         # Every call costs one tick of virtual time, so the per-step
         # sim-tick stamps on sequence outcomes are strictly ordered even

@@ -13,8 +13,8 @@ warm ``spawn``-started worker of one :class:`~repro.core.pool.WorkerPool`
 that lives for the :meth:`~ParallelCampaign.run` call.  Workers rebuild
 the MuT/type registries in-process (their call implementations are
 closures and cannot cross a spawn boundary), run the exact serial
-per-variant loop
-(:func:`repro.core.campaign.run_variant` via a single-variant
+per-variant loop (the plan driver,
+:func:`repro.core.campaign.drive_plan`, via a single-variant
 :class:`~repro.core.campaign.Campaign`), and stream progress events and
 their final checkpoint back over a queue.  The parent merges the
 per-variant shards into one :class:`CampaignCheckpoint` whose serialised

@@ -15,12 +15,12 @@ Three pieces live here:
   ``(sequence name, seed, MuT pool, value pools)``: the same planner
   inputs yield byte-identical plans in every worker process, which is
   what lets sequences shard and heal exactly like cases.
-* :func:`run_variant_sequences` -- the sequence twin of
-  :func:`repro.core.campaign.run_variant`, with the same
-  checkpoint/heartbeat/progress/slice contract.  Each sequence becomes
-  one result row under the reserved ``api="seq"`` namespace (step index
-  = case index), so checkpoint splitting, merging, supervision, and the
-  deterministic event stream all work unchanged.
+* :func:`run_variant_sequences` -- the plan driver
+  (:func:`repro.core.campaign.drive_plan`) with the sequence runner:
+  each sequence is one unit with one result row under the reserved
+  ``api="seq"`` namespace (step index = case index), so checkpoint
+  splitting, merging, supervision, and the deterministic event stream
+  work as they do for MuTs.
 * **Fault injection and attribution.**  A plan may arm one
   fault family (:data:`~repro.sim.faults.FAULT_FAMILIES`) for one step;
   the executor scopes it to the call window, and a call that reports
@@ -44,15 +44,15 @@ import pathlib
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.campaign import (
     _INTERFERENCE_MARKER,
     _apply_policies,
-    _outcome_histogram,
     CampaignConfig,
     HeartbeatFn,
     ProgressFn,
+    drive_plan,
 )
 from repro.core.context import TestContext
 from repro.core.crash_scale import CaseCode
@@ -60,12 +60,11 @@ from repro.core.executor import Executor
 from repro.core.generator import CaseGenerator, TestCase
 from repro.core.mut import MuT
 from repro.core.results import MuTResult, ResultSet
-from repro.core.results_io import CampaignCheckpoint, save_checkpoint
+from repro.core.results_io import CampaignCheckpoint
 from repro.obs import events as obs_events
 from repro.obs.recorder import Recorder
 from repro.sim.errors import MachineCrashed, SimFault, SystemCrash
 from repro.sim.faults import FAULT_FAMILIES
-from repro.sim.machine import Machine
 from repro.sim.personality import Personality
 
 #: Reserved ``api`` namespace for sequence result rows.  The lint
@@ -113,13 +112,17 @@ class SequenceStep:
 
 @dataclass(frozen=True)
 class SequencePlan:
-    """One planned k-call sequence (plus its resolved MuT objects).
+    """One planned k-call sequence (plus its resolved MuT objects): the
+    plan driver's unit in sequence mode, with its row under
+    ``(variant, "seq", name)``.
 
     ``fault_family``/``fault_step`` record the injection decision:
     ``None`` for a clean sequence, else the armed family and the step
     whose call window it fires in.
     """
 
+    api = SEQUENCE_API
+    group = SEQUENCE_GROUP
     name: str
     index: int
     steps: tuple[SequenceStep, ...]
@@ -223,7 +226,7 @@ class SequencePlanner:
 
 
 # ----------------------------------------------------------------------
-# The per-variant sequence-campaign loop
+# The sequence runner
 # ----------------------------------------------------------------------
 
 
@@ -242,173 +245,57 @@ def run_variant_sequences(
     recorder: Recorder | None = None,
     plan_slice: tuple[int, int] | None = None,
 ) -> None:
-    """Run one variant's sequence plan (the ``--mode sequence`` inner
-    loop) -- the sequence twin of
-    :func:`repro.core.campaign.run_variant`, with the identical
-    checkpoint / heartbeat / progress / quarantine / slice contract.
-
-    Each plan position is one sequence; its result row lives under
-    ``(variant, "seq", plan.name)`` with one case code per step, so the
-    entry is restart-safe at any plan cursor exactly like the per-case
-    loop: recorded sequences skip, machine wear restores, and a slice
-    runs from the serial wear at its first position.  The machine
-    reboots between sequences (each starts pristine) unless
-    ``config.dirty_machine``, in which case wear accumulates across
-    sequences -- a Catastrophic step still forces a reboot either way,
-    since a crashed machine cannot run the next sequence.
-    """
-    quarantine = quarantine or {}
-    start, stop = plan_slice if plan_slice is not None else (0, len(plans))
-    machine = Machine(personality, watchdog_ticks=config.watchdog_ticks)
-    wear = checkpoint.machine_wear.get(personality.key)
-    if wear:
-        machine.restore_wear(wear)
-    executor = Executor(machine, generator)
-    since_checkpoint = 0
-    #: Lazy wear capture, exactly as in the per-case loop: snapshot the
-    #: machine only when a checkpoint is written or the variant ends.
-    wear_dirty = False
-
-    def capture_wear() -> None:
-        nonlocal wear_dirty
-        if wear_dirty:
-            checkpoint.machine_wear[personality.key] = machine.wear_state()
-            wear_dirty = False
-
-    def emit(event: "obs_events.Event") -> None:
-        if recorder is not None:
-            recorder.emit(event)
-
-    def save_and_tell(position: int) -> None:
-        capture_wear()
-        save_checkpoint(checkpoint, checkpoint_path)
-        emit(
-            obs_events.CheckpointWritten(
-                personality.key, str(checkpoint_path), position
-            )
-        )
-
-    emit(obs_events.VariantStarted(personality.key, len(plans)))
-    for position in range(start, stop):
-        plan = plans[position]
-        if results.has(personality.key, plan.name, api=SEQUENCE_API):
-            continue  # already recorded by the interrupted run
-        if results.is_quarantined(personality.key, SEQUENCE_API, plan.name):
-            continue
-        key = f"{SEQUENCE_API}:{plan.name}"
-        if key in quarantine:
-            results.quarantine(
-                personality.key, SEQUENCE_API, plan.name, quarantine[key]
-            )
-            emit(
-                obs_events.MutQuarantined(
-                    personality.key, key, quarantine[key]
-                )
-            )
-            checkpoint.cursors[personality.key] = position + 1
-            since_checkpoint += 1
-            if (
-                checkpoint_path is not None
-                and since_checkpoint >= checkpoint_every
-            ):
-                save_and_tell(position + 1)
-                since_checkpoint = 0
-            continue
-        if progress is not None:
-            progress(personality.key, plan.name, position, len(plans))
-        result = results.new_result(
-            personality.key, plan.name, SEQUENCE_API, SEQUENCE_GROUP
-        )
-        result.planned_cases = len(plan.steps)
-        if recorder is not None:
-            recorder.emit(
-                obs_events.SequenceStarted(
-                    personality.key,
-                    plan.name,
-                    len(plan.steps),
-                    plan.fault_family,
-                    plan.fault_step,
-                )
-            )
-        rebooted = _run_sequence(
-            executor,
-            machine,
-            plan,
-            config,
-            result,
-            personality,
-            heartbeat,
-            recorder,
-            key,
-        )
-        if recorder is not None:
-            recorder.emit(
-                obs_events.MutFinished(
-                    personality.key,
-                    key,
-                    SEQUENCE_GROUP,
-                    len(result.codes),
-                    _outcome_histogram(result.codes),
-                    result.catastrophic,
-                    result.interference_crash,
-                    machine.clock.ticks,
-                )
-            )
-        if recorder is not None:
-            seq = result.sequence or {}
-            recorder.emit(
-                obs_events.SequenceFinished(
-                    personality.key,
-                    plan.name,
-                    len(result.codes),
-                    seq.get("crash_step"),
-                    seq.get("classification"),
-                    machine.clock.ticks,
-                )
-            )
-        if not config.dirty_machine and not rebooted:
-            # Clean mode: every sequence starts on a pristine machine
-            # (the crash path already rebooted).
-            machine.reboot()
-        checkpoint.cursors[personality.key] = position + 1
-        wear_dirty = True
-        since_checkpoint += 1
-        if (
-            checkpoint_path is not None
-            and since_checkpoint >= checkpoint_every
-        ):
-            save_and_tell(position + 1)
-            since_checkpoint = 0
-    if plan_slice is not None:
-        checkpoint.cursors[personality.key] = max(
-            checkpoint.cursors.get(personality.key, 0), stop
-        )
-    capture_wear()
-    emit(
-        obs_events.VariantFinished(
-            personality.key,
-            results.total_cases(personality.key),
-            machine.clock.ticks,
-        )
+    """Run one variant's sequence plan (the ``--mode sequence`` loop):
+    :func:`~repro.core.campaign.drive_plan` with the sequence runner,
+    one plan per unit.  The machine reboots between sequences (each
+    starts pristine) unless ``config.dirty_machine``, in which case wear
+    accumulates across sequences -- a Catastrophic step still forces a
+    reboot either way, since a crashed machine cannot run the next
+    sequence."""
+    drive_plan(
+        _run_sequence,
+        personality,
+        plans,
+        generator,
+        config,
+        results,
+        progress,
+        checkpoint,
+        checkpoint_path,
+        checkpoint_every,
+        quarantine,
+        heartbeat,
+        recorder,
+        plan_slice,
     )
-    if checkpoint_path is not None:
-        save_and_tell(stop)
 
 
 def _run_sequence(
     executor: Executor,
-    machine: Machine,
     plan: SequencePlan,
-    config: CampaignConfig,
+    key: str,
     result: MuTResult,
-    personality: Personality,
+    config: CampaignConfig,
     heartbeat: HeartbeatFn | None,
     recorder: Recorder | None,
-    key: str,
-) -> bool:
-    """Execute one sequence in one process; fill ``result`` (one case
-    code per step plus the ``sequence`` attribution record).  Returns
-    True when a Catastrophic step forced a machine reboot."""
+) -> Callable[[], None]:
+    """The sequence runner: execute one sequence in one process and fill
+    ``result`` (one case code per step plus the ``sequence`` attribution
+    record).  Returns the hook that, after ``mut_finished``, emits
+    ``sequence_finished`` and reboots a clean-mode machine."""
+    machine = executor.machine
+    variant = machine.personality.key
+    result.planned_cases = len(plan.steps)
+    if recorder is not None:
+        recorder.emit(
+            obs_events.SequenceStarted(
+                variant,
+                plan.name,
+                len(plan.steps),
+                plan.fault_family,
+                plan.fault_step,
+            )
+        )
     base_wear = machine.wear_state() if config.dirty_machine else None
     step_ticks: list[int] = []
     deltas: list[int] = []
@@ -428,7 +315,7 @@ def _run_sequence(
     if ctx is not None:
         for index, (step, mut) in enumerate(zip(plan.steps, plan.muts)):
             if heartbeat is not None:
-                heartbeat(personality.key, key, index)
+                heartbeat(variant, key, index)
             case = TestCase(mut.name, index, step.value_names)
             inject = plan.fault_step == index and plan.fault_family is not None
             level_before = machine.corruption_level
@@ -454,13 +341,13 @@ def _run_sequence(
             step_ticks.append(machine.clock.ticks)
             deltas.append(machine.corruption_level - level_before)
             if recorder is not None:
-                # Same hot-path dict form as the per-case loop, so the
+                # Same hot-path dict form as the case runner, so the
                 # deterministic stream machinery treats a sequence like
                 # one MuT whose cases are its steps.
                 recorder.record(
                     {
                         "kind": "case_executed",
-                        "variant": personality.key,
+                        "variant": variant,
                         "mut": key,
                         "case": index,
                         "code": int(outcome.code),
@@ -471,7 +358,7 @@ def _run_sequence(
                 if inject and fault_fired:
                     recorder.emit(
                         obs_events.FaultInjected(
-                            personality.key,
+                            variant,
                             plan.name,
                             index,
                             plan.fault_family,
@@ -481,7 +368,7 @@ def _run_sequence(
                 if outcome.code is CaseCode.FAULT_ATOMICITY:
                     recorder.emit(
                         obs_events.AtomicityViolation(
-                            personality.key,
+                            variant,
                             plan.name,
                             index,
                             plan.fault_family,
@@ -511,7 +398,26 @@ def _run_sequence(
     result.sequence = _attribute(
         plan, result, step_ticks, deltas, fault_fired, crash_detail, base_wear
     )
-    return rebooted
+
+    def finish() -> None:
+        if recorder is not None:
+            seq = result.sequence
+            recorder.emit(
+                obs_events.SequenceFinished(
+                    variant,
+                    plan.name,
+                    len(result.codes),
+                    seq.get("crash_step"),
+                    seq.get("classification"),
+                    machine.clock.ticks,
+                )
+            )
+        if not config.dirty_machine and not rebooted:
+            # Clean mode: every sequence starts on a pristine machine
+            # (the crash path already rebooted).
+            machine.reboot()
+
+    return finish
 
 
 def _attribute(

@@ -310,3 +310,6 @@ for test_case in (
     test_case.settings = settings(
         max_examples=30, stateful_step_count=30, deadline=None
     )
+# The loop variable would otherwise stay bound at module level, and
+# pytest would collect it as a fifth test that re-runs the last model.
+del test_case
