@@ -28,8 +28,8 @@ variant finishes.  On restart, a variant whose shard survived a killed
 worker resumes from the shard; otherwise its slice is split out of the
 combined ``resume`` checkpoint.  Completed MuTs are skipped per variant
 either way.  Without a ``checkpoint_path`` the shards live in a
-temporary directory removed when the run ends: the supervision loop
-(see :mod:`repro.core.supervisor`) restarts dead workers from them.
+temporary directory removed when the run ends: the shared
+:class:`~repro.core.supervisor.Supervisor` restarts dead workers from them.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from repro.core.campaign import (
 from repro.core.generator import CaseGenerator
 from repro.core.pool import WorkerPool
 from repro.core.results import ResultSet
-from repro.core.supervisor import SupervisorPolicy
+from repro.core.supervisor import Supervisor, SupervisorPolicy
 from repro.core.types import ParamType, default_types
 from repro.obs import events as obs_events
 from repro.obs.recorder import Recorder
@@ -597,9 +597,9 @@ class ParallelCampaign:
     Mirrors :meth:`Campaign.run`'s signature and semantics; the merged
     result set (and the rendered tables built from it) is byte-identical
     to the serial run at the same cap, also when restarts healed the
-    run.  Dead workers relaunch from their shards, stale-heartbeat
-    workers are killed and relaunched, and poison MuTs are quarantined
-    instead of failing the campaign (see :mod:`repro.core.supervisor`).
+    run.  Every worker death -- the wall-clock watchdog's kills too --
+    goes to a :class:`~repro.core.supervisor.Supervisor`, which
+    relaunches the spec from its shard and quarantines poison MuTs.
     The decision trail lands in :attr:`supervision_log`.
 
     :param variants: OS personalities to test (must be among
@@ -829,7 +829,6 @@ class ParallelCampaign:
                     tag=key,
                     shard_path=str(shard_path(shard_base, key)),
                     resume=resume_doc,
-                    quarantine={},
                 )
             )
         return specs
@@ -932,7 +931,6 @@ class ParallelCampaign:
                     tag=tag,
                     shard_path=str(shard_path(shard_base, tag)),
                     resume=resume_doc,
-                    quarantine={},
                     shard={
                         "variant": key,
                         "index": index,
@@ -1064,64 +1062,28 @@ class ParallelCampaign:
         recorder: Recorder | None = None,
     ) -> dict[str, CampaignCheckpoint]:
         """Run the specs on at most ``self.jobs`` pooled workers, pump
-        their messages, and collect one finished shard per spec tag,
-        healing dead and hung workers under :attr:`policy`."""
+        their messages, and collect one finished shard per spec tag; a
+        :class:`Supervisor` under :attr:`policy` heals every death."""
         policy = self.policy
         planner = self._planner
         spec_by_key = {spec["tag"]: spec for spec in specs}
         pending = list(specs)
         shards: dict[str, CampaignCheckpoint] = {}
         errors: dict[str, str] = {}
-        restarts: dict[str, int] = {}
-        strikes: dict[tuple[str, str], int] = {}
-        #: tag -> (unit, case) of the last heartbeat of the running spec.
-        inflight: dict[str, tuple[str, int]] = {}
         last_seen: dict[str, float] = {}
-        resume_at: dict[str, float] = {}
 
         def emit(event) -> None:
             if recorder is not None:
                 recorder.emit(event)
 
-        def handle_death(
-            key: str, kind: str, why: str, exitcode: int | None = None
-        ) -> None:
-            """One dead worker: attribute, maybe quarantine, maybe
-            relaunch."""
-            used = restarts[key] = restarts.get(key, 0) + 1
-            emit(obs_events.WorkerDied(key, kind, why, exitcode=exitcode))
-            mut_case = inflight.pop(key, None)
-            if mut_case is not None:
-                mut, case_index = mut_case
-                count = strikes[(key, mut)] = strikes.get((key, mut), 0) + 1
-                if count > policy.max_mut_retries:
-                    reason = (
-                        f"{kind} its worker {count} times "
-                        f"(last at case {case_index}); quarantined after "
-                        f"{policy.max_mut_retries} retries"
-                    )
-                    spec_by_key[key]["quarantine"][mut] = reason
-                    self._log(
-                        "quarantine", key, mut=mut, strikes=count, why=reason
-                    )
-            if used > policy.max_restarts:
-                errors[key] = (
-                    f"restart budget exhausted ({policy.max_restarts}) "
-                    f"after worker {why}"
-                )
-                self._log(
-                    "budget_exhausted", key, restarts=used - 1, why=why
-                )
-                emit(obs_events.BudgetExhausted(key, used - 1, why))
-                return
-            delay = policy.backoff(used - 1)
-            resume_at[key] = policy.clock() + delay
-            pending.append(spec_by_key[key])
-            self._log(
-                "restart", key, attempt=used, backoff_s=delay,
-                kind=kind, why=why,
-            )
-            emit(obs_events.WorkerRestarted(key, used, delay, kind))
+        supervisor = Supervisor(policy, emit, log=self._log)
+
+        def settle(key: str, reason: str | None) -> None:
+            """Queue a dead worker's spec again, or give up on it."""
+            if reason is None:
+                pending.append(spec_by_key[key])
+            else:
+                errors[key] = reason
 
         def runnable(spec: dict) -> bool:
             """Not given up on, and (sharded) its slice base is known."""
@@ -1135,7 +1097,7 @@ class ParallelCampaign:
                 # Nothing alive to produce events: sleep out the
                 # earliest backoff instead of spinning on the pipes.
                 wait = min(
-                    resume_at.get(s["tag"], 0.0) for s in pending
+                    supervisor.due.get(s["tag"], 0.0) for s in pending
                 ) - policy.clock()
                 if wait > 0:
                     time.sleep(min(wait, 0.05))
@@ -1144,16 +1106,17 @@ class ParallelCampaign:
                 if pool.full():
                     break
                 key = spec["tag"]
-                if resume_at.get(key, 0.0) > now or not runnable(spec):
+                if supervisor.due.get(key, 0.0) > now or not runnable(spec):
                     continue
                 pending.remove(spec)
                 if planner is not None:
                     planner.mark_spawned(key)
+                spec["quarantine"] = supervisor.verdicts.get(key, {})
                 pid = pool.run(key, spec)
                 last_seen[key] = policy.clock()
                 emit(
                     obs_events.WorkerSpawned(
-                        key, pid, restarts.get(key, 0) + 1
+                        key, pid, supervisor.restarts.get(key, 0) + 1
                     )
                 )
             if not len(pool) and not any(map(runnable, pending)):
@@ -1171,12 +1134,12 @@ class ParallelCampaign:
                 if kind == "progress":
                     self._forward_progress(progress, message)
                 elif kind == "heartbeat":
-                    inflight[key] = (message[2], message[3])
+                    supervisor.inflight[key] = (message[2], message[3])
                 elif kind == "obs":
                     if recorder is not None:
                         recorder.record(message[2])
                 elif kind == "done":
-                    inflight.pop(key, None)
+                    supervisor.inflight.pop(key, None)
                     pool.release(key)
                     emit(obs_events.WorkerFinished(key))
                     # A watchdog race can park a respawn for a variant
@@ -1191,45 +1154,33 @@ class ParallelCampaign:
                         pending,
                         recorder,
                     )
-                elif key not in pool:
-                    pass  # sent before its worker was killed or reaped
-                elif key in inflight:  # "error" raised inside a unit
+                elif key in pool:
+                    # "error" from the running spec; one sent before its
+                    # worker was killed or reaped is moot.
                     pool.release(key)
-                    handle_death(key, "crashed", f"raised:\n{message[2]}")
-                else:
-                    # "error" before the spec's first unit (resume
-                    # validation, a stale shard): deterministic, so a
-                    # relaunch would only fail the same way.
-                    pool.release(key)
-                    errors[key] = message[2]
-                    emit(obs_events.WorkerDied(key, "crashed", message[2]))
+                    settle(key, supervisor.raised(key, message[2]))
             # Wall-clock watchdog: a silent worker is hung in real time
             # (the simulated watchdog cannot see it).
             if policy.mut_deadline is not None:
                 for key in list(pool.pids()):
                     stale = policy.clock() - last_seen.get(key, now)
                     if stale > policy.mut_deadline:
-                        mut_case = inflight.get(key)
+                        mut_case = supervisor.inflight.get(key)
                         self._log(
                             "watchdog_kill", key,
                             stale_s=round(stale, 3),
                             mut=mut_case[0] if mut_case else None,
                         )
                         pool.kill(key)
-                        handle_death(
-                            key,
-                            "hung",
+                        why = (
                             f"heartbeat stale {stale:.1f}s "
-                            f"(deadline {policy.mut_deadline}s)",
+                            f"(deadline {policy.mut_deadline}s)"
                         )
+                        settle(key, supervisor.died(key, "hung", why))
             # Reap workers killed from outside (OOM, SIGKILL).
             for key, exitcode in pool.reap():
-                handle_death(
-                    key,
-                    "killed",
-                    f"exited with code {exitcode}",
-                    exitcode=exitcode,
-                )
+                why = f"exited with code {exitcode}"
+                settle(key, supervisor.died(key, "killed", why, exitcode))
         if errors:
             detail = "\n".join(
                 f"--- worker [{key}] ---\n{text}"

@@ -33,19 +33,19 @@ import types
 
 
 def _pool_worker(inbox, outbox) -> None:
-    """Child-process entry point: run every spec put on ``inbox`` until
-    the parent sends ``None``."""
+    """Child-process entry point: run every spec sent down ``inbox``
+    until the parent sends ``None``."""
     from repro.core.parallel import _GeneratorMemo, _variant_worker
 
     events = types.SimpleNamespace(put=outbox.send)
     generators = _GeneratorMemo()
-    for spec in iter(inbox.get, None):
+    for spec in iter(inbox.recv, None):
         _variant_worker(spec, events, generators)
 
 
 class _Worker:
-    """One pooled process, its inbox, and the read end of its pipe
-    (``None`` once the pipe hit end-of-file)."""
+    """One pooled process, the write end of its inbox pipe, and the
+    read end of its outbox pipe (``None`` once it hit end-of-file)."""
 
     __slots__ = ("process", "inbox", "outbox")
 
@@ -61,9 +61,6 @@ class _Worker:
 
     def discard(self) -> None:
         self.close_outbox()
-        # A dead worker never drains its inbox; do not let interpreter
-        # exit wait on a feeder thread blocked on that pipe.
-        self.inbox.cancel_join_thread()
         self.inbox.close()
 
 
@@ -109,28 +106,29 @@ class WorkerPool:
         pid."""
         if key in self._busy or self.full():
             raise RuntimeError(f"pool cannot take spec {key!r}")
-        worker = None
-        while self._idle and worker is None:
-            candidate = self._idle.pop()
-            if candidate.process.is_alive():
-                worker = candidate
-            else:
-                self._drop(candidate)
-        if worker is None:
+        while self._idle:
+            worker = self._idle.pop()
+            try:
+                worker.inbox.send(spec)
+                break
+            except OSError:  # it died idle, since its last spec
+                self._drop(worker)
+        else:
             worker = self._start()
-        worker.inbox.put(spec)
+            worker.inbox.send(spec)
         self._busy[key] = worker
         return worker.process.pid
 
     def _start(self) -> _Worker:
-        inbox = self._ctx.Queue()
+        inbox, sender = self._ctx.Pipe(duplex=False)
         outbox, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_pool_worker, args=(inbox, writer), daemon=True
         )
         process.start()
+        inbox.close()  # only the worker reads it: a send to a dead one fails
         writer.close()  # the worker holds the only write end: EOF = exit
-        return _Worker(process, inbox, outbox)
+        return _Worker(process, sender, outbox)
 
     def release(self, key: str) -> None:
         """The spec under ``key`` posted its ``done``/``error``: its
@@ -188,8 +186,9 @@ class WorkerPool:
 
     def reap(self) -> list[tuple[str, int | None]]:
         """``(key, exitcode)`` for every worker that died mid-spec
-        without a word (OOM, outside SIGKILL); dead idle workers are
-        dropped quietly.  One sentinel poll gates the scan, so a
+        without a word (OOM, outside SIGKILL) once :meth:`get` has read
+        all it sent, so its last heartbeat is known; dead idle workers
+        are dropped quietly.  One sentinel poll gates the scan, so a
         healthy pool pays no per-worker liveness check."""
         owners = {w.process.sentinel: (k, w) for k, w in self._busy.items()}
         owners.update({w.process.sentinel: (None, w) for w in self._idle})
@@ -202,6 +201,8 @@ class WorkerPool:
         deaths = []
         for sentinel in ready:
             key, worker = owners[sentinel]
+            if key is not None and worker.outbox is not None:
+                continue  # until get() reads its pipe to end-of-file
             worker.process.join(timeout=1.0)  # let the exit code settle
             if worker.process.is_alive():  # pragma: no cover - settling
                 continue

@@ -376,15 +376,16 @@ class ServiceClient:
         """Poll the job to completion, streaming result rows
         incrementally, and return the assembled
         :class:`~repro.core.results.ResultSet` (byte-identical, once
-        saved, to the same campaign run serially).
+        saved, to the job's ``results.json``, quarantined MuTs included).
 
         ``state`` is the resumable stream position (per-shard cursors
-        plus rows already received).  Pass the *same dict* to a new
+        plus what was already received).  Pass the *same dict* to a new
         client after a disconnect and the stream resumes exactly where
         it stopped -- no duplicate rows, nothing lost."""
         state = {} if state is None else state
         cursors = state.setdefault("cursors", {})
         rows = state.setdefault("rows", [])
+        quarantined = state.setdefault("quarantined", [])
         finished = state.setdefault("finished", [])
         deadline = time.monotonic() + timeout
         while True:
@@ -400,6 +401,7 @@ class ServiceClient:
                     cursors[variant] = page["cursor"]
                     if page["done"]:
                         finished.append(variant)
+                        quarantined.extend(page.get("quarantined", []))
                         break
                     if not page["rows"]:
                         break  # drained what exists so far
@@ -415,6 +417,7 @@ class ServiceClient:
                         "format": "ballista-results",
                         "version": 2,
                         "results": rows,
+                        "quarantined": quarantined,
                     }
                 )
             if time.monotonic() >= deadline:

@@ -51,6 +51,7 @@ from repro.core.results_io import (
     results_to_dict,
     save_results,
 )
+from repro.core.supervisor import Supervisor, SupervisorPolicy
 from repro.core.types import TypeRegistry, default_types
 from repro.obs import events as obs_events
 from repro.service import protocol as P
@@ -433,11 +434,13 @@ class CampaignService:
     :param max_workers: concurrent worker processes across all tenants
         (the size of the service's one worker pool; workers start on
         the first lease and stay warm for the service's life).
-    :param lease_s: shard lease horizon; a worker silent this long loses
-        its shard to a fresh worker (which resumes from the shard
-        checkpoint).
-    :param max_attempts: grant budget per shard before its job is
-        declared failed.
+    :param lease_s: shard lease horizon; a worker silent this long is
+        killed as hung, and its shard goes to a fresh worker (which
+        resumes from the shard checkpoint).
+    :param max_attempts: grant budget per shard: its first run plus
+        ``max_attempts - 1`` restarts under the parallel runner's
+        :class:`~repro.core.supervisor.Supervisor` (backoff, poison-MuT
+        quarantine, fail-fast on setup errors) before its job fails.
     :param recorder: optional :class:`repro.obs.recorder.Recorder` for
         the service's operational event stream (``job_submitted``,
         ``lease_granted`` .. ``drain_started``) plus forwarded worker
@@ -457,6 +460,12 @@ class CampaignService:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        #: Built first: its policy reads BALLISTA_MAX_MUT_RETRIES (may raise).
+        self._supervisor = Supervisor(
+            SupervisorPolicy(mut_deadline=None, max_restarts=max_attempts - 1),
+            self._emit,
+            name=lambda tag: tag.partition("/")[2],  # events name the token
+        )
         self.queue = JobQueue(data_dir)
         self.max_workers = max_workers
         self.lease_s = lease_s
@@ -472,8 +481,8 @@ class CampaignService:
         self._pool = WorkerPool(max_workers)
         #: (job_id, token) -> latest progress beacon (coalesced).
         self._progress: dict[tuple[str, str], dict] = {}
-        #: (job_id, token) -> (mtime_ns, size, plan-ordered row list).
-        self._row_cache: dict[tuple[str, str], tuple[int, int, list]] = {}
+        #: (job_id, token) -> (mtime_ns, size, (rows, quarantine records)).
+        self._row_cache: dict[tuple[str, str], tuple[int, int, tuple]] = {}
         self._plan_cache: dict[tuple[str, tuple[str, ...] | None], list] = {}
         self._selector = selectors.DefaultSelector()
         self._listener: socket.socket | None = None
@@ -775,17 +784,19 @@ class CampaignService:
             token in record.shards_done
             for token in record.spec.shard_tokens(variant)
         )
-        rows = self._shard_rows(record, variant)
+        rows, quarantined = self._shard_rows(record, variant)
         page = rows[cursor : cursor + max_rows]
         next_cursor = cursor + len(page)
         done = finished and next_cursor >= len(rows)
+        reply = {"ok": True, "rows": page, "cursor": next_cursor, "done": done}
         if done:
             # A streamed-out shard is not polled again: drop its cached
             # rows, or a long-lived service would hold every job's
             # results.  A late re-FETCH reads the checkpoint again.
             for token in record.spec.shard_tokens(variant):
                 self._row_cache.pop((job_id, token), None)
-        return {"ok": True, "rows": page, "cursor": next_cursor, "done": done}
+            reply["quarantined"] = quarantined  # they have no rows
+        return reply
 
     def _on_queue_stats(self, document: dict) -> dict:
         states: dict[str, int] = {}
@@ -845,29 +856,32 @@ class CampaignService:
             self._plan_cache[cache_key] = keys
             return keys
 
-    def _shard_rows(self, record: JobRecord, variant: str) -> list:
-        """The variant's result rows in plan order, concatenated across
-        its slice checkpoints.  Slices run chained (slice k+1 is only
-        leased after slice k is done) and cover contiguous plan spans,
-        so concatenating per-slice rows in slice order yields the full
-        plan order and grows append-only -- FETCH cursors stay stable
-        across polls, reconnection, and worker reassignment."""
+    def _shard_rows(self, record: JobRecord, variant: str) -> tuple:
+        """The variant's rows in plan order across its slice checkpoints,
+        and its quarantine records.  Slices run chained (slice k+1 is
+        only leased after slice k is done) and cover contiguous plan
+        spans, so per-slice rows in slice order are the full plan order
+        and grow append-only -- FETCH cursors stay stable across polls,
+        reconnection, and worker reassignment."""
         rows: list = []
+        quarantined: list = []
         for token in record.spec.shard_tokens(variant):
-            rows.extend(self._token_rows(record, variant, token))
-        return rows
+            more, withdrawn = self._token_rows(record, variant, token)
+            rows.extend(more)
+            quarantined.extend(withdrawn)
+        return rows, quarantined
 
     def _token_rows(
         self, record: JobRecord, variant: str, token: str
-    ) -> list:
-        """One slice's rows in plan order, from its checkpoint file on
-        disk (cached by mtime+size)."""
+    ) -> tuple[list, list]:
+        """One slice's rows in plan order and its quarantine records,
+        from its checkpoint file on disk (cached by mtime+size)."""
         shard = (record.job_id, token)
         path = self.queue.shard_file(record.job_id, token)
         try:
             stat = path.stat()
         except OSError:
-            return []  # no checkpoint yet
+            return [], []  # no checkpoint yet
         cached = self._row_cache.get(shard)
         if cached is not None and cached[:2] == (stat.st_mtime_ns, stat.st_size):
             return cached[2]
@@ -876,16 +890,19 @@ class CampaignService:
         except (OSError, ResultFormatError):
             # Mid-replace race or a torn shard: serve the previous page
             # set; the next poll sees the settled file.
-            return cached[2] if cached is not None else []
+            return cached[2] if cached is not None else ([], [])
+        document = results_to_dict(checkpoint.results)
         by_key = {
             f"{row['api']}:{row['mut']}": row
-            for row in results_to_dict(checkpoint.results)["results"]
+            for row in document["results"]
             if row["variant"] == variant
         }
         keys = self._plan_keys(variant, record.spec.muts)
         rows = [by_key[key] for key in keys if key in by_key]
-        self._row_cache[shard] = (stat.st_mtime_ns, stat.st_size, rows)
-        return rows
+        quarantined = document.get("quarantined", [])
+        entry = (rows, [q for q in quarantined if q["variant"] == variant])
+        self._row_cache[shard] = (stat.st_mtime_ns, stat.st_size, entry)
+        return entry
 
     # ------------------------------------------------------------------
     # Scheduler thread: leases, workers, finalisation
@@ -936,7 +953,8 @@ class CampaignService:
         variant, index = split_token(token)
         shard = (job_id, token)
         if kind == "heartbeat":
-            self.leases.renew(job_id, variant, index)
+            if self.leases.renew(job_id, variant, index):
+                self._supervisor.inflight[tag] = (message[2], message[3])
         elif kind == "progress":
             self._progress[shard] = {
                 "mut": message[2],
@@ -950,42 +968,33 @@ class CampaignService:
             self.leases.release(job_id, variant, index)
             self._pool.release(tag)
             self._progress.pop(shard, None)
+            self._supervisor.forget(tag)
             if self.queue.mark_shard_done(job_id, token):
                 self._finalize_job(job_id)
-        elif kind == "error":
-            self.leases.release(job_id, variant, index)
+        elif tag in self._pool:
+            # "error" from the running spec; one sent before lease
+            # expiry killed its worker is moot.
             self._pool.release(tag)
-            self._emit(
-                obs_events.WorkerDied(token, "crashed", message[2])
-            )
-            if (
-                self.leases.attempts(job_id, variant, index)
-                >= self.max_attempts
-            ):
-                self._fail_job(
-                    job_id,
-                    f"shard {token} failed {self.max_attempts} times: "
-                    f"{message[2]}",
-                )
+            self._settle(tag, self._supervisor.raised(tag, message[2]))
+
+    def _settle(self, tag: str, reason: str | None) -> None:
+        """A dead shard worker: release its lease, then fail the job, or
+        let the grant pass re-lease the shard after its backoff."""
+        job_id, _, token = tag.partition("/")
+        self.leases.release(job_id, *split_token(token))
+        if reason is not None:
+            self._fail_job(job_id, f"shard {token}: {reason}")
+        elif self.queue.get(job_id).state == JOB_FAILED:
+            self._supervisor.forget(tag)  # it is never re-leased
 
     def _reap_silent_deaths(self) -> None:
         """A SIGKILLed worker posts nothing; the pool's sentinel reap is
         the fast path to reassignment (heartbeat-loss expiry is the slow
         path, for workers that are alive but wedged)."""
         for tag, exitcode in self._pool.reap():
-            job_id, _, token = tag.partition("/")
-            if exitcode != 0:
-                self._emit(
-                    obs_events.WorkerDied(
-                        token,
-                        "killed",
-                        "exited without reporting a result",
-                        exitcode=exitcode,
-                    )
-                )
-            # Release the lease so the grant pass reassigns the shard.
-            variant, index = split_token(token)
-            self.leases.release(job_id, variant, index)
+            why = f"exited with code {exitcode}"
+            reason = self._supervisor.died(tag, "killed", why, exitcode)
+            self._settle(tag, reason)
 
     def _token_of(self, lease) -> str:
         """The shard token a lease maps to: bare variant for unsharded
@@ -998,33 +1007,24 @@ class CampaignService:
     def _expire_leases(self) -> None:
         for lease in self.leases.expire_stale():
             # Wedged, not dead: make it dead; a fresh worker takes over.
-            self._pool.kill(f"{lease.job_id}/{self._token_of(lease)}")
+            tag = f"{lease.job_id}/{self._token_of(lease)}"
+            self._pool.kill(tag)
+            reason = self._supervisor.died(tag, "hung", "lease expired")
+            self._settle(tag, reason)
 
     def _grant_leases(self) -> None:
         if self._draining.is_set():
             return
+        now = self._supervisor.policy.clock()
         for job_id, token in self.queue.pending_shards():
             if self._pool.full():
                 return
             variant, index = split_token(token)
             tag = f"{job_id}/{token}"
-            if tag in self._pool:
-                continue
+            if tag in self._pool or self._supervisor.due.get(tag, 0.0) > now:
+                continue  # running, or backing off after a death
             if self.leases.holder(job_id, variant, index) is not None:
                 continue  # pragma: no cover - lease without worker
-            if (
-                self.leases.attempts(job_id, variant, index)
-                >= self.max_attempts
-            ):
-                # Silent deaths do not travel the "error" message path,
-                # so an endlessly-killed shard must be failed here or
-                # its job would hang unleasable forever.
-                self._fail_job(
-                    job_id,
-                    f"shard {token} exhausted its "
-                    f"{self.max_attempts} lease grants",
-                )
-                continue
             record = self.queue.get(job_id)
             if record is None or record.state in (JOB_DONE, JOB_FAILED):
                 continue
@@ -1050,9 +1050,10 @@ class CampaignService:
 
     def _worker_spec(self, record: JobRecord, token: str) -> dict:
         variant, index = split_token(token)
+        tag = f"{record.job_id}/{token}"
         spec = {
             "variant": variant,
-            "tag": f"{record.job_id}/{token}",
+            "tag": tag,
             "muts": (
                 None if record.spec.muts is None else list(record.spec.muts)
             ),
@@ -1060,7 +1061,7 @@ class CampaignService:
             "shard_path": str(self.queue.shard_file(record.job_id, token)),
             "checkpoint_every": record.spec.checkpoint_every,
             "resume": None,  # the shard file on disk wins anyway
-            "quarantine": {},
+            "quarantine": self._supervisor.verdicts.get(tag, {}),
             # Beacons must outpace the lease horizon comfortably.
             "heartbeat_interval": max(0.01, min(1.0, self.lease_s / 5)),
             "events": self.recorder is not None,
@@ -1126,3 +1127,5 @@ class CampaignService:
     def _fail_job(self, job_id: str, why: str) -> None:
         self.queue.mark_job_failed(job_id, why)
         self._emit(obs_events.JobFailed(job_id, why))
+        for token in self.queue.get(job_id).spec.all_tokens():
+            self._supervisor.forget(f"{job_id}/{token}")

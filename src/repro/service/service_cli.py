@@ -101,13 +101,16 @@ def serve_main(argv: list[str]) -> int:
 
     from repro.service.server import CampaignService
 
-    service = CampaignService(
-        args.data,
-        max_workers=args.max_workers,
-        lease_s=args.lease_timeout,
-        max_attempts=args.max_attempts,
-        recorder=recorder,
-    )
+    try:
+        service = CampaignService(
+            args.data,
+            max_workers=args.max_workers,
+            lease_s=args.lease_timeout,
+            max_attempts=args.max_attempts,
+            recorder=recorder,
+        )
+    except ValueError as exc:  # junk in BALLISTA_MAX_MUT_RETRIES
+        parser.error(str(exc))
     host, port = service.listen(args.host, args.port)
     sys.stderr.write(f"campaign service listening on {host}:{port}\n")
     sys.stderr.flush()

@@ -6,6 +6,7 @@ shard checkpoints, lease expiry and reassignment, chaos transports,
 disconnect/reconnect streaming, and the graceful drain.
 """
 
+import json
 import os
 import signal
 import socket
@@ -17,7 +18,14 @@ import pytest
 
 from repro import ALL_VARIANTS
 from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.results_io import save_results
+from repro.core.parallel import ParallelCampaign
+from repro.core.results import ResultSet
+from repro.core.results_io import (
+    CampaignCheckpoint,
+    save_checkpoint,
+    save_results,
+)
+from repro.core.supervisor import SupervisorPolicy
 from repro.obs.recorder import MemoryRecorder
 from repro.service.chaos import ChaosConfig, ChaosTransport
 from repro.service.client import ServiceClient, ServiceError
@@ -289,6 +297,112 @@ class TestShardedJobs:
         ) == serial_bytes(tmp_path, ["win98"])
         assert stats["leases"]["reassigned"] >= 1
         assert stats["leases"]["double_grants_refused"] == 0
+
+
+def held_by_supervisor(service, tag):
+    """Whether any per-tag table of the service's supervisor has ``tag``."""
+    return any(
+        isinstance(table, dict) and tag in table
+        for table in vars(service._supervisor).values()
+    )
+
+
+class TestOneSupervisor:
+    """The service heals worker deaths through the parallel runner's
+    death policy: strikes, quarantine, backoff and fail-fast."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_poison_mut_is_quarantined_as_by_the_parallel_runner(
+        self, tmp_path, service, monkeypatch, shards
+    ):
+        """A MuT that kills its worker on every attempt (no marker)
+        costs the service job its quarantine row, not the job: the
+        streamed document and ``results.json`` equal the parallel
+        runner's under the same budget, quarantine row included."""
+        monkeypatch.setenv("BALLISTA_FAULT_KILL", "winnt|libc:strcpy|3")
+        runner = ParallelCampaign(
+            [p for p in ALL_VARIANTS if p.key == "winnt"],
+            CampaignConfig(cap=CAP),
+            muts=SUBSET,
+            jobs=2,
+            shards=shards,
+            policy=SupervisorPolicy(mut_deadline=None, max_restarts=4),
+        )
+        expected = streamed_bytes(tmp_path, runner.run(), f"local-{shards}")
+        # Both deaths are blamed on strcpy's heartbeat: two strikes.
+        assert [e["event"] for e in runner.supervision_log] == [
+            "restart", "quarantine", "restart"
+        ]
+        assert b'"quarantined"' in expected
+        assert b"libc" in expected and b"strcpy" in expected
+        host, port = service.address
+        client = ServiceClient.connect(host, port)
+        job_id, _ = client.submit(
+            ["winnt"], cap=CAP, muts=SUBSET, shards=shards
+        )
+        results = client.stream(job_id, timeout=180)
+        client.close()
+        assert [
+            (r.variant, r.api, r.mut_name)
+            for r in results.quarantined_records()
+        ] == [("winnt", "libc", "strcpy")]
+        streamed = streamed_bytes(tmp_path, results, f"svc-{shards}")
+        assert json.loads(streamed) == json.loads(expected)  # readable diff
+        assert streamed == expected
+        assert service.queue.results_file(job_id).read_bytes() == expected
+        kinds = event_kinds(service.recorded)
+        assert kinds.get("mut_quarantined") == 1
+        assert kinds.get("worker_restarted") == kinds.get("worker_died") == 2
+
+    def test_setup_error_fails_the_job_without_a_second_grant(
+        self, service
+    ):
+        """A worker that raises before its first unit -- here on a
+        stale shard checkpoint from another cap -- fails its job at
+        once: one grant, one death, no restart, no reassignment."""
+        stale = CampaignCheckpoint(
+            ResultSet(), cap=99, variants=["winnt"], complete=False
+        )
+        save_checkpoint(stale, service.queue.shard_file("job-0001", "winnt"))
+        host, port = service.address
+        client = ServiceClient.connect(host, port)
+        job_id, _ = client.submit(["winnt"], cap=CAP, muts=SUBSET)
+        assert job_id == "job-0001"
+        with pytest.raises(ServiceError, match="cap=99"):
+            client.stream(job_id, timeout=120)
+        client.close()
+        kinds = event_kinds(service.recorded)
+        assert kinds.get("lease_granted") == 1
+        assert kinds.get("worker_died") == 1
+        assert "worker_restarted" not in kinds
+        assert "lease_reassigned" not in kinds
+        assert not held_by_supervisor(service, f"{job_id}/winnt")
+
+    def test_supervisor_keeps_nothing_for_finished_jobs(
+        self, tmp_path, service, monkeypatch
+    ):
+        """Once a shard is done its tag's strikes, verdicts and backoff
+        go -- also for a job that healed from a SIGKILL."""
+        marker = tmp_path / "killed-once"
+        monkeypatch.setenv(
+            "BALLISTA_FAULT_KILL", f"win98|libc:strcpy|3|{marker}"
+        )
+        host, port = service.address
+        client = ServiceClient.connect(host, port)
+        tags = []
+        for variants, shards in ((["winnt"], 1), (["win98", "linux"], 2)):
+            job_id, _ = client.submit(
+                variants, cap=CAP, muts=SUBSET, shards=shards
+            )
+            client.stream(job_id, timeout=180)
+            tags += [
+                f"{job_id}/{token}"
+                for token in service.queue.get(job_id).spec.all_tokens()
+            ]
+        client.close()
+        assert marker.exists(), "the fault never fired"
+        assert event_kinds(service.recorded).get("worker_restarted") == 1
+        assert [tag for tag in tags if held_by_supervisor(service, tag)] == []
 
 
 class TestReconnect:

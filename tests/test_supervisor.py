@@ -26,6 +26,7 @@ from repro.core.results_io import (
     shard_path,
 )
 from repro.core.supervisor import (
+    Supervisor,
     SupervisorPolicy,
     default_max_mut_retries,
     default_max_restarts,
@@ -451,6 +452,149 @@ class TestPolicy:
             reader()
 
 
+class FakeClock:
+    def __init__(self) -> None:
+        self.now = 1000.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def decisions(name=None, **knobs):
+    """A Supervisor on a fake clock, with its recorder and log."""
+    knobs = {"max_restarts": 5, "max_mut_retries": 1, **knobs}
+    clock = FakeClock()
+    recorder = MemoryRecorder()
+    log = []
+    supervisor = Supervisor(
+        SupervisorPolicy(mut_deadline=None, clock=clock, **knobs),
+        recorder.emit,
+        log=lambda event, variant, **detail: log.append(
+            (event, variant, detail)
+        ),
+        name=name,
+    )
+    return supervisor, clock, recorder, log
+
+
+def kinds_of(recorder):
+    return [r["kind"] for r in recorder.records]
+
+
+def holds(supervisor, tag):
+    """Whether any of the supervisor's per-tag tables mentions ``tag``."""
+    return any(
+        isinstance(table, dict) and tag in table
+        for table in vars(supervisor).values()
+    )
+
+
+class TestSupervisorDecisions:
+    """The death policy alone: no processes, no sleeping."""
+
+    def test_death_is_blamed_on_the_last_heartbeat(self):
+        supervisor, _, _, log = decisions(max_mut_retries=0)
+        # Two heartbeats, as the pump loops record them: the later wins.
+        supervisor.inflight["winnt"] = ("libc:strcpy", 0)
+        supervisor.inflight["winnt"] = ("libc:strcat", 7)
+        assert supervisor.died("winnt", "killed", "exited with code -9") is None
+        assert supervisor.verdicts["winnt"] == {
+            "libc:strcat": "killed its worker 1 times (last at case 7); "
+            "quarantined after 0 retries"
+        }
+        assert "winnt" not in supervisor.inflight
+        assert [entry[0] for entry in log] == ["quarantine", "restart"]
+
+    def test_quarantine_arrives_at_strike_max_mut_retries_plus_one(self):
+        supervisor, _, recorder, log = decisions(max_mut_retries=2)
+        for strike in (1, 2, 3):
+            assert "linux#1" not in supervisor.verdicts
+            supervisor.inflight["linux#1"] = ("win32:CloseHandle", strike)
+            supervisor.died("linux#1", "hung", "heartbeat stale")
+        assert list(supervisor.verdicts["linux#1"]) == ["win32:CloseHandle"]
+        assert supervisor.strikes["linux#1"] == {"win32:CloseHandle": 3}
+        (quarantine,) = [entry for entry in log if entry[0] == "quarantine"]
+        assert quarantine[2]["strikes"] == 3
+        # The verdict is the worker's to apply and announce.
+        assert "mut_quarantined" not in kinds_of(recorder)
+
+    def test_backoff_doubles_and_stops_at_its_cap(self):
+        supervisor, clock, recorder, _ = decisions(
+            max_restarts=9, backoff_base=0.25, backoff_max=1.0
+        )
+        waits = []
+        for _ in range(4):
+            assert supervisor.died("win98", "killed", "exited") is None
+            waits.append(supervisor.due["win98"] - clock.now)
+            clock.now += 10
+        assert waits == [0.25, 0.5, 1.0, 1.0]
+        restarts = [
+            r for r in recorder.records if r["kind"] == "worker_restarted"
+        ]
+        assert [r["backoff_s"] for r in restarts] == waits
+        assert [r["attempt"] for r in restarts] == [1, 2, 3, 4]
+        assert supervisor.restarts["win98"] == 4
+
+    def test_budget_exhaustion_emits_exactly_one_budget_exhausted(self):
+        supervisor, _, recorder, log = decisions(max_restarts=2)
+        verdicts = [
+            supervisor.died("wince", "killed", "exited with code -9", -9)
+            for _ in range(3)
+        ]
+        assert verdicts[:2] == [None, None]
+        assert verdicts[2] == (
+            "restart budget exhausted (2) after worker exited with code -9"
+        )
+        assert kinds_of(recorder) == [
+            "worker_died", "worker_restarted",
+            "worker_died", "worker_restarted",
+            "worker_died", "budget_exhausted",
+        ]
+        assert log[-1] == (
+            "budget_exhausted",
+            "wince",
+            {"restarts": 2, "why": "exited with code -9"},
+        )
+
+    def test_error_before_any_heartbeat_fails_fast(self):
+        supervisor, _, recorder, log = decisions()
+        assert supervisor.raised("win95", "Traceback: cap=99") == (
+            "Traceback: cap=99"
+        )
+        assert kinds_of(recorder) == ["worker_died"]
+        assert recorder.records[0]["death"] == "crashed"
+        assert log == []
+        assert "win95" not in supervisor.due
+
+    def test_error_inside_a_unit_is_a_death(self):
+        supervisor, _, recorder, _ = decisions()
+        supervisor.inflight["win95"] = ("libc:fclose", 4)
+        assert supervisor.raised("win95", "Traceback: boom") is None
+        died, restarted = recorder.records
+        assert died["why"] == "raised:\nTraceback: boom"
+        assert restarted["kind"] == "worker_restarted"
+
+    def test_event_variant_comes_from_name(self):
+        supervisor, _, recorder, log = decisions(
+            name=lambda tag: tag.partition("/")[2], max_mut_retries=0
+        )
+        supervisor.inflight["job-0007/winnt#1"] = ("libc:strcpy", 0)
+        supervisor.died("job-0007/winnt#1", "killed", "exited")
+        assert {r["variant"] for r in recorder.records} == {"winnt#1"}
+        assert {entry[1] for entry in log} == {"winnt#1"}
+        assert "libc:strcpy" in supervisor.verdicts["job-0007/winnt#1"]
+
+    def test_forget_drops_every_trace_of_a_tag(self):
+        supervisor, _, _, _ = decisions(max_mut_retries=0)
+        supervisor.inflight["job-0001/linux"] = ("libc:strcpy", 0)
+        supervisor.died("job-0001/linux", "killed", "exited")
+        supervisor.inflight["job-0001/linux"] = ("libc:isalpha", 0)
+        assert holds(supervisor, "job-0001/linux")
+        supervisor.forget("job-0001/linux")
+        assert not holds(supervisor, "job-0001/linux")
+        assert supervisor.verdicts == supervisor.strikes == {}
+
+
 class TestCliFlags:
     def test_negative_deadline_rejected(self, capsys):
         from repro.cli import main
@@ -473,3 +617,18 @@ class TestCliFlags:
         with pytest.raises(SystemExit):
             main(["--variants", "linux"])
         assert "BALLISTA_MAX_MUT_RETRIES" in capsys.readouterr().err
+
+    def test_serve_env_junk_reported_not_raised(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """The service's supervisor reads the same variable: junk in it
+        is a usage error of ``repro serve``, not a traceback."""
+        from repro.cli import main
+
+        monkeypatch.setenv("BALLISTA_MAX_MUT_RETRIES", "plenty")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--data", str(tmp_path / "data")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "BALLISTA_MAX_MUT_RETRIES must be an integer" in err
+        assert "Traceback" not in err

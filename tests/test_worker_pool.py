@@ -8,7 +8,9 @@ replaced, and nothing may outlive the run (or service) that owns it.
 
 import json
 import multiprocessing
+import multiprocessing.resource_tracker
 import os
+import queue
 import signal
 import time
 
@@ -21,7 +23,7 @@ from repro.core.parallel import (
     config_spec_fields,
     shard_bounds,
 )
-from repro.core.pool import WorkerPool
+from repro.core.pool import WorkerPool, _Worker
 from repro.core.results_io import checkpoint_from_dict, results_to_dict
 from repro.core.supervisor import SupervisorPolicy
 from repro.obs.recorder import MemoryRecorder
@@ -198,6 +200,77 @@ class TestReplacement:
         assert len(attempts) >= 2
         for killed, relaunched in zip(attempts, attempts[1:]):
             assert relaunched["pid"] != killed["pid"]
+
+
+class TestInboxPipes:
+    def test_a_run_registers_no_semaphores(self, monkeypatch):
+        """Specs go down one-way pipes, like the messages coming back: a
+        run leaves the resource tracker no named semaphore to warn about
+        (a ``multiprocessing.Queue`` inbox registered three per
+        worker)."""
+        tracker = multiprocessing.resource_tracker
+        registered = []
+        real = tracker.register
+
+        def spy(name, rtype):
+            registered.append(rtype)
+            return real(name, rtype)
+
+        monkeypatch.setattr(tracker, "register", spy)
+        ParallelCampaign(
+            [WIN98, LINUX], config=CampaignConfig(cap=CAP), muts=SUBSET, jobs=2
+        ).run()
+        assert registered.count("semaphore") == 0
+
+    def test_spec_for_a_worker_that_died_idle_runs_on_a_fresh_one(
+        self, monkeypatch
+    ):
+        """An idle worker can die after the pool last saw it alive
+        (here ``is_alive`` is patched to keep saying so).  Its next
+        spec must not vanish into the dead pipe: it runs on a fresh
+        worker, and no death is reported, since no spec was running."""
+        pool = WorkerPool(1)
+        try:
+            first, _ = run_spec(pool, slice_spec(WINNT, 0, 2))
+            (idle,) = pool._idle
+            os.kill(first, signal.SIGKILL)
+            idle.process.join(timeout=10)
+            monkeypatch.setattr(idle.process, "is_alive", lambda: True)
+            second, document = run_spec(pool, slice_spec(LINUX, 0, 2))
+            assert pool.reap() == []
+        finally:
+            pool.close()
+        assert second != first
+        assert checkpoint_from_dict(document).results.total_cases() > 0
+
+
+def _beat_and_die(outbox):
+    """A worker's last words: a heartbeat, then a SIGKILL."""
+    outbox.send(("heartbeat", "w", "libc:strcpy", 0))
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestDeathOrder:
+    def test_death_is_reported_after_what_the_worker_sent(self):
+        """The owner blames a death on the last heartbeat it has seen,
+        so ``reap`` must not report a worker before ``get`` handed on
+        everything it sent: else the death lands on a stale heartbeat
+        (and, twice, quarantines an innocent MuT)."""
+        ctx = multiprocessing.get_context("spawn")
+        outbox, writer = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=_beat_and_die, args=(writer,), daemon=True)
+        process.start()
+        writer.close()
+        process.join(timeout=30)
+        _, inbox = ctx.Pipe(duplex=False)
+        pool = WorkerPool(1)
+        pool._busy["w"] = _Worker(process, inbox, outbox)
+        assert pool.reap() == []
+        assert pool.get(timeout=5) == ("heartbeat", "w", "libc:strcpy", 0)
+        with pytest.raises(queue.Empty):
+            pool.get(timeout=0)  # end-of-file: nothing more will come
+        assert pool.reap() == [("w", -signal.SIGKILL)]
+        assert len(pool) == 0
 
 
 class TestNoLeaks:
