@@ -29,6 +29,7 @@ import time
 
 from repro import ALL_VARIANTS, Campaign, CampaignConfig, ParallelCampaign
 from repro.analysis.hindering import render_hindering
+from repro.analysis.silent import DESKTOP_KEYS
 from repro.analysis.tables import (
     render_figure1,
     render_figure2,
@@ -63,6 +64,30 @@ _DEFAULT_TABLES = {
     "case": "table1,table2,figure1,table3,figure2,hindering",
     "sequence": "sequences",
 }
+
+#: Tables that vote across the desktop Windows variants.
+_VOTING_TABLES = ("figure2", "hindering")
+
+
+def _tables_for(
+    parser: argparse.ArgumentParser,
+    wanted: list[str],
+    defaulted: bool,
+    keys: list[str],
+) -> list[str]:
+    """The tables to render for the variants ``keys``.  Voting needs two
+    desktop Windows variants: without them a default list drops the
+    voting tables, and an explicit one is refused (exit 2)."""
+    if len(set(DESKTOP_KEYS).intersection(keys)) >= 2:
+        return wanted
+    if defaulted:
+        return [name for name in wanted if name not in _VOTING_TABLES]
+    if any(name in _VOTING_TABLES for name in wanted):
+        parser.error(
+            "figure2 (Silent voting) needs at least two desktop "
+            "Windows variants"
+        )
+    return wanted
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -370,14 +395,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown variants: {missing}; choose from {sorted(by_key)}")
     variants = [by_key[key] for key in keys]
 
-    if "figure2" in wanted or "hindering" in wanted:
-        desktop = {"win95", "win98", "win98se", "winnt", "win2000"}
-        if len(desktop & set(keys)) < 2:
-            parser.error(
-                "figure2 (Silent voting) needs at least two desktop "
-                "Windows variants"
-            )
-
     # One status line per variant: a single \r-rewritten line garbles as
     # soon as --jobs > 1 interleaves updates from several variants.
     from repro.obs.progress import ProgressRenderer
@@ -392,6 +409,7 @@ def main(argv: list[str] | None = None) -> int:
             results = load_results(args.load)
         except (OSError, ResultFormatError) as exc:
             parser.error(f"--load {args.load}: {exc}")
+        wanted = _tables_for(parser, wanted, tables_defaulted, results.variants())
     else:
         resume = None
         if args.resume:
@@ -465,6 +483,9 @@ def main(argv: list[str] | None = None) -> int:
                     "per-case campaign; it cannot resume under "
                     "--mode sequence"
                 )
+        # Tables follow the variants the run renders: the checkpoint's,
+        # once adopted.
+        wanted = _tables_for(parser, wanted, tables_defaulted, keys)
         checkpoint_path = args.checkpoint or args.resume
         started = time.monotonic()
         # Default parallelism covers every schedulable slice, not just

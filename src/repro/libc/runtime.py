@@ -153,8 +153,8 @@ class CRuntime(
                     region.start = base + offset
                 regions.append(region)
             self._ctype_region = regions[0]
-            if stdin_file is not None and not stdin_file.node.data:
-                stdin_file.node.data.extend(CONSOLE_INPUT)
+            if stdin_file is not None and not stdin_file.node.size:
+                stdin_file.node.assign(CONSOLE_INPUT)
             streams = self._streams
             states = self._std_states
             for index, (fd, readable, writable, flag_header) in enumerate(
@@ -187,8 +187,8 @@ class CRuntime(
             self._ctype_region = mem.map(
                 384, Protection.READ, tag="ctype-table"
             )
-            if stdin_file is not None and not stdin_file.node.data:
-                stdin_file.node.data.extend(CONSOLE_INPUT)
+            if stdin_file is not None and not stdin_file.node.size:
+                stdin_file.node.assign(CONSOLE_INPUT)
             self.stdin = self._register_stream(
                 stdin_file, readable=True, writable=False
             )

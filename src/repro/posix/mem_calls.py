@@ -54,7 +54,7 @@ class MemCallsMixin:
             node = getattr(obj, "node", None)
             if obj is None or node is None:
                 return self._err(E.EBADF, ret=MAP_FAILED)
-            data = bytes(node.data[offset : offset + length])
+            data = node.read(offset, offset + length)
         if flags & MAP_FIXED:
             if addr % 4096 or addr == 0:
                 return self._err(E.EINVAL, ret=MAP_FAILED)

@@ -95,7 +95,7 @@ class CETargetAgent:
                 self.link.target_send({"ok": False, "missing": True})
             else:
                 self.link.target_send(
-                    {"ok": True, "data": bytes(node.data).decode("latin-1")}
+                    {"ok": True, "data": node.data.decode("latin-1")}
                 )
         elif command == "delete_file":
             try:

@@ -56,23 +56,71 @@ class Node:
 
 
 class FileNode(Node):
-    """A regular file: a named bytearray plus attributes.
+    """A regular file: the bytes written to it plus attributes.
+
+    The content is ``size`` bytes long: ``body`` holds the bytes that
+    were stored, and ``[len(body), size)`` reads as zero.  Only a
+    truncate that grows the file creates that zero tail; a write past
+    the stored bytes stores its gap, so a file that was only ever
+    written has ``size == len(body)``.  The split is never
+    canonicalised (trailing zeros stay in ``body``): the wear image
+    records it as it is.  Content goes through :meth:`read`,
+    :meth:`write`, :meth:`truncate` and :meth:`assign`; ``data`` is the
+    whole content as a read-only copy.
 
     ``symlink_target`` is only ever set on nodes that model symbolic
     links (the slot exists so the attribute can be attached without a
     per-instance ``__dict__``); read it with ``getattr(..., None)``.
     """
 
-    __slots__ = ("data", "nlink", "symlink_target")
+    __slots__ = ("body", "size", "nlink", "symlink_target")
 
     def __init__(self, name: str, now: int, data: bytes = b"") -> None:
         super().__init__(name, now)
-        self.data = bytearray(data)
+        self.body = bytearray(data)
+        self.size = len(self.body)
         self.nlink = 1
 
     @property
-    def size(self) -> int:
-        return len(self.data)
+    def data(self) -> bytes:
+        """The whole content, zero tail included (a copy)."""
+        return bytes(self.body) + bytes(self.size - len(self.body))
+
+    def read(self, start: int, stop: int) -> bytes:
+        """``self.data[start:stop]`` (Python slice semantics, negative
+        indices too) without building the content."""
+        body = self.body
+        if self.size == len(body):
+            return bytes(body[start:stop])
+        start, stop, _ = slice(start, stop).indices(self.size)
+        held = len(body)
+        if stop <= held or stop <= start:
+            return bytes(body[start:stop])
+        return bytes(body[start:]) + bytes(stop - max(start, held))
+
+    def write(self, offset: int, data: bytes) -> None:
+        """Store ``data`` at ``offset``; a gap past the stored bytes is
+        stored as zeros."""
+        body = self.body
+        end = offset + len(data)
+        if end > len(body):
+            body.extend(bytes(end - len(body)))
+        body[offset:end] = data
+        if end > self.size:
+            self.size = end
+
+    def truncate(self, length: int) -> None:
+        """Cut the content to ``length`` bytes, or grow it with a zero
+        tail that stores nothing."""
+        if length < len(self.body):
+            del self.body[length:]
+        self.size = length
+
+    def assign(self, data: bytes, zero_tail: int = 0) -> None:
+        """Replace the content with ``data`` followed by ``zero_tail``
+        zero bytes."""
+        self.body[:] = data
+        self.size = len(self.body) + zero_tail
 
 
 class DirectoryNode(Node):
@@ -178,7 +226,7 @@ class OpenFile:
         self._require_open()
         if not self.readable:
             raise FileSystemError("EBADF", self.node.name)
-        data = bytes(self.node.data[self.offset : self.offset + max(count, 0)])
+        data = self.node.read(self.offset, self.offset + max(count, 0))
         self.offset += len(data)
         self.node.accessed_at = self._now()
         return data
@@ -187,20 +235,18 @@ class OpenFile:
         self._require_open()
         if not self.writable:
             raise FileSystemError("EBADF", self.node.name)
+        node = self.node
         if self.append:
-            self.offset = len(self.node.data)
-        end = self.offset + len(data)
-        if end > len(self.node.data):
-            self.node.data.extend(b"\x00" * (end - len(self.node.data)))
-        self.node.data[self.offset : end] = data
-        self.offset = end
-        self.node.modified_at = self._now()
+            self.offset = node.size
+        node.write(self.offset, data)
+        self.offset += len(data)
+        node.modified_at = self._now()
         return len(data)
 
     def seek(self, offset: int, whence: int = 0) -> int:
         """``whence``: 0=SET, 1=CUR, 2=END.  Negative results are errors."""
         self._require_open()
-        base = {0: 0, 1: self.offset, 2: len(self.node.data)}.get(whence)
+        base = {0: 0, 1: self.offset, 2: self.node.size}.get(whence)
         if base is None:
             raise FileSystemError("EINVAL", self.node.name)
         position = base + offset
@@ -213,10 +259,7 @@ class OpenFile:
         self._require_open()
         if length < 0:
             raise FileSystemError("EINVAL", self.node.name)
-        if length <= len(self.node.data):
-            del self.node.data[length:]
-        else:
-            self.node.data.extend(b"\x00" * (length - len(self.node.data)))
+        self.node.truncate(length)
         self.node.modified_at = self._now()
 
     def close(self) -> None:
@@ -312,7 +355,8 @@ class FileSystem:
                 if cached is not None:
                     return cached
                 dup = FileNode.__new__(FileNode)
-                dup.data = bytearray(node.data)
+                dup.body = bytearray(node.body)
+                dup.size = node.size
                 dup.nlink = node.nlink
                 target = getattr(node, "symlink_target", None)
                 if target is not None:
@@ -397,8 +441,14 @@ class FileSystem:
     # ------------------------------------------------------------------
 
     def create_file(
-        self, path: str, data: bytes = b"", exclusive: bool = False
+        self,
+        path: str,
+        data: bytes = b"",
+        exclusive: bool = False,
+        zero_tail: int = 0,
     ) -> FileNode:
+        """Create ``path`` holding ``data`` then ``zero_tail`` zero
+        bytes, or replace an existing file's content with them."""
         parent, name = self._parent_of(path)
         existing = parent.lookup(name, self.case_insensitive)
         if existing is not None:
@@ -407,7 +457,7 @@ class FileSystem:
             if existing.is_directory:
                 raise FileSystemError("EISDIR", path)
             assert isinstance(existing, FileNode)
-            existing.data[:] = data
+            existing.assign(data, zero_tail)
             existing.modified_at = self._now()
             return existing
         if self.max_files is not None and self._file_count >= self.max_files:
@@ -415,9 +465,18 @@ class FileSystem:
         if self.faults is not None and self.faults.trip("disk"):
             raise FileSystemError("ENOSPC", path)
         node = FileNode(name, self._now(), data)
+        node.size += zero_tail
         parent.add(name, node)
         self._file_count += 1
         return node
+
+    def copy_file(self, node: FileNode, path: str) -> FileNode:
+        """Create (or overwrite) ``path`` with ``node``'s content, split
+        as ``node`` holds it: the stored bytes are copied, the zero tail
+        only as a length."""
+        return self.create_file(
+            path, bytes(node.body), zero_tail=node.size - len(node.body)
+        )
 
     def open(
         self,
@@ -444,7 +503,7 @@ class FileSystem:
         if writable and node.read_only:
             raise FileSystemError("EACCES", path)
         if truncate and writable:
-            del node.data[:]
+            node.assign(b"")
         return OpenFile(node, readable, writable, append, now=self._now)
 
     def unlink(self, path: str) -> None:

@@ -216,7 +216,9 @@ class Machine:
         system arena.  Files that earlier MuTs created or deleted change
         later classifications (``remove()`` of a lingering file succeeds
         on a worn machine but fails after a fresh boot), so the tree
-        itself is part of the wear."""
+        itself is part of the wear.  A file costs its stored bytes: the
+        zero tail a growing truncate left is recorded as a length
+        (``zero_tail``), never as zeros (see :meth:`_fs_wear`)."""
         wear: dict = {
             "corruption": self._corruption,
             "reboot_count": self.reboot_count,
@@ -256,12 +258,21 @@ class Machine:
             return None
         return bytes(region.data)
 
-    def _fs_wear(self) -> dict:
+    def _fs_wear(self, residue: bool = False) -> dict:
         """A depth-first, insertion-ordered image of the filesystem.
 
         Hard links are recorded as aliases of the first directory entry
         that reached the node, so the restored tree shares one
         :class:`FileNode` between them just like the original.
+
+        A file's ``data`` is the base64 of its stored bytes (``body``);
+        a file with a zero tail adds ``zero_tail``, the tail's length.
+        The split is recorded as it is, so a restored machine captures
+        the same image.  ``residue=True`` builds the comparison-only
+        form :meth:`wear_residue` uses: no ``accessed_at``, and a file's
+        ``data`` is its stored bytes less their trailing zeros beside
+        its ``size`` -- equal exactly when the contents are, however
+        each is split.
         """
         nodes: list[dict] = []
         seen: dict[int, int] = {}
@@ -269,7 +280,8 @@ class Machine:
         def record(node: Node, entry: dict) -> dict:
             entry["created_at"] = node.created_at
             entry["modified_at"] = node.modified_at
-            entry["accessed_at"] = node.accessed_at
+            if not residue:
+                entry["accessed_at"] = node.accessed_at
             entry["read_only"] = node.read_only
             entry["hidden"] = node.hidden
             entry["protected"] = node.protected
@@ -293,9 +305,14 @@ class Machine:
                     continue
                 seen[id(node)] = len(nodes)
                 entry = record(node, {"path": path, "type": "file"})
-                entry["data"] = base64.b64encode(bytes(node.data)).decode(
-                    "ascii"
-                )
+                body = node.body
+                if residue:
+                    entry["data"] = body.rstrip(b"\x00")
+                    entry["size"] = node.size
+                else:
+                    entry["data"] = base64.b64encode(body).decode("ascii")
+                    if node.size != len(body):
+                        entry["zero_tail"] = node.size - len(body)
                 if node.nlink != 1:
                     entry["nlink"] = node.nlink
                 target = getattr(node, "symlink_target", None)
@@ -334,7 +351,9 @@ class Machine:
                 continue
             else:
                 file_node = fs.create_file(
-                    path, base64.b64decode(entry["data"])
+                    path,
+                    base64.b64decode(entry["data"]),
+                    zero_tail=int(entry.get("zero_tail", 0)),
                 )
                 file_node.nlink = int(entry.get("nlink", 1))
                 if "symlink_target" in entry:
@@ -409,18 +428,22 @@ class Machine:
         Access timestamps are excluded: a failed call may legitimately
         have *read* files before hitting the injected fault, and an
         ``accessed_at`` bump is not corruption the next step could trip
-        over.  Data, metadata, link structure, and the file population
-        all count.
+        over.  File contents, metadata, link structure, and the file
+        population all count; how a file's content is split between
+        stored bytes and a zero tail does not (a zero write into a tail
+        changes no content).
 
         The snapshot is ``(corruption, fs nodes, file count, arena)``:
-        the :meth:`_fs_wear` walk minus ``accessed_at``, and the arena
-        bytes (``None`` while the arena is all zero).  Node flags are
-        always ``bool`` and modes always ``int``, so ``==`` on it gives
-        the same verdict as comparing the sorted-key JSON encodings of
-        the same parts -- at the cost of one walk and one memcmp.
+        the :meth:`_fs_wear` walk in its ``residue`` form (no
+        ``accessed_at``, file contents as stored bytes less trailing
+        zeros plus size, nothing base64-encoded), and the arena bytes
+        (``None`` while the arena is all zero) -- one walk and one
+        memcmp.
         """
-        fs = self._fs_wear()
-        nodes = fs["nodes"]
-        for node in nodes:
-            node.pop("accessed_at", None)
-        return (self._corruption, nodes, fs["file_count"], self._arena_image())
+        fs = self._fs_wear(residue=True)
+        return (
+            self._corruption,
+            fs["nodes"],
+            fs["file_count"],
+            self._arena_image(),
+        )

@@ -216,7 +216,7 @@ class Process:
         console.created_at = console.modified_at = console.accessed_at = now()
         console.read_only = console.hidden = console.protected = False
         console.mode = 0o644
-        console.data = bytearray()
+        console.assign(b"")
         console.nlink = 1
         fds = self.fds
         fds.clear()

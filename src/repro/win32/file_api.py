@@ -143,7 +143,7 @@ class FileApiMixin:
         if bFailIfExists and self.machine.fs.lookup(dst) is not None:
             return self.fail(W.ERROR_FILE_EXISTS)
         try:
-            self.machine.fs.create_file(dst, bytes(node.data))
+            self.machine.fs.copy_file(node, dst)
             return 1
         except FileSystemError as exc:
             return self._fs_fail(exc)
@@ -267,7 +267,7 @@ class FileApiMixin:
         if lpFileSizeHigh:
             if not self.copy_out("GetFileSize", lpFileSizeHigh, b"\x00" * 4):
                 return self.fail(W.ERROR_NOACCESS, ret=W.INVALID_FILE_SIZE)
-        return len(obj.open_file.node.data)
+        return obj.open_file.node.size
 
     def GetFileType(self, hFile: int) -> int:
         obj = self._file_object("GetFileType", hFile)

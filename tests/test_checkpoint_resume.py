@@ -603,3 +603,100 @@ class TestCliResume:
         final = load_checkpoint(path)
         assert final.complete is True
         assert final.variants == ["win98", "winnt"]
+
+
+class TestZeroTailWear:
+    """``truncate`` grows files with a zero tail that the wear image
+    records as a length, so a checkpoint costs what was written, and
+    sharded and resumed runs still reproduce the serial bytes."""
+
+    #: ``truncate`` leaves 16 MiB files that live until ``unlink``.
+    MUTS = ["open", "truncate", "umask", "uname", "unlink"]
+
+    def test_five_mut_job_checkpoint_is_small(self, tmp_path):
+        """Four Linux MuTs then ``truncate``, checkpointed every five
+        MuTs: the wear holds the truncated files' tails as lengths (the
+        dense image was about 128 MB)."""
+        from repro.posix.linux import LINUX
+
+        path = tmp_path / "five.ckpt"
+        campaign = Campaign(
+            [LINUX],
+            config=CampaignConfig(cap=300),
+            muts=["clearerr", "isprint", "open", "signal", "truncate"],
+        )
+        campaign.run(checkpoint_path=path, checkpoint_every=5)
+        assert path.stat().st_size < 64 * 1024
+        tails = [
+            entry["zero_tail"]
+            for entry in load_checkpoint(path).machine_wear["linux"]["fs"]["nodes"]
+            if "zero_tail" in entry
+        ]
+        assert tails and max(tails) == 1 << 24
+
+    def test_sharded_run_equals_serial_across_a_tail_seam(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.parallel import ParallelCampaign, _SeamPlanner
+        from repro.posix.linux import LINUX
+
+        config = CampaignConfig(cap=300)
+        serial_path = tmp_path / "serial.ckpt"
+        sharded_path = tmp_path / "sharded.ckpt"
+        serial = Campaign([LINUX], config=config, muts=self.MUTS).run(
+            checkpoint_path=serial_path
+        )
+        slices: dict[str, dict] = {}
+        on_done = _SeamPlanner.on_done
+
+        def record_slice(self, tag, checkpoint):
+            slices[tag] = checkpoint.shard
+            return on_done(self, tag, checkpoint)
+
+        monkeypatch.setattr(_SeamPlanner, "on_done", record_slice)
+        sharded = ParallelCampaign(
+            [LINUX], config=config, muts=self.MUTS, jobs=2, shards=2
+        ).run(checkpoint_path=sharded_path)
+        assert json.dumps(results_to_dict(sharded)) == json.dumps(
+            results_to_dict(serial)
+        )
+        assert sharded_path.read_bytes() == serial_path.read_bytes()
+        # Slice 2 starts after ``truncate`` (and ``umask``), on a machine
+        # whose truncated files carry their tails as lengths.
+        assert (slices["linux#1"]["start"], slices["linux#1"]["stop"]) == (3, 5)
+        base_nodes = slices["linux#1"]["base_wear"]["fs"]["nodes"]
+        assert any("zero_tail" in entry for entry in base_nodes)
+
+    def test_resume_after_truncate_equals_uninterrupted(self, tmp_path):
+        from repro.posix.linux import LINUX
+
+        config = CampaignConfig(cap=300)
+        full_path = tmp_path / "full.ckpt"
+        uninterrupted = Campaign([LINUX], config=config, muts=self.MUTS).run(
+            checkpoint_path=full_path, checkpoint_every=1
+        )
+        path = tmp_path / "resumed.ckpt"
+
+        def stop_after_truncate(variant, mut, position, total):
+            if mut == "umask":
+                raise _Interrupt()
+
+        with pytest.raises(_Interrupt):
+            Campaign([LINUX], config=config, muts=self.MUTS).run(
+                progress=stop_after_truncate,
+                checkpoint_path=path,
+                checkpoint_every=1,
+            )
+        interrupted = load_checkpoint(path)
+        assert interrupted.cursors["linux"] == 2
+        assert any(
+            "zero_tail" in entry
+            for entry in interrupted.machine_wear["linux"]["fs"]["nodes"]
+        )
+        resumed = Campaign([LINUX], config=config, muts=self.MUTS).run(
+            checkpoint_path=path, checkpoint_every=1, resume=interrupted
+        )
+        assert json.dumps(results_to_dict(resumed)) == json.dumps(
+            results_to_dict(uninterrupted)
+        )
+        assert path.read_bytes() == full_path.read_bytes()

@@ -267,6 +267,57 @@ class TestCli:
                 "--quiet",
             )
 
+    @staticmethod
+    def assert_non_voting_tables(out: str) -> None:
+        assert "Table 1." in out and "Table 3." in out
+        assert "Figure 2." not in out
+        assert "Hindering failures" not in out
+
+    def test_one_variant_run_defaults_to_non_voting_tables(self, capsys):
+        """The voting tables need two desktop Windows variants, so a
+        run without them renders the other default tables."""
+        code, out = self.run_cli(
+            capsys, "--variants", "winnt", "--cap", "5", "--quiet"
+        )
+        assert code == 0
+        self.assert_non_voting_tables(out)
+
+    def test_resume_defaults_tables_to_the_checkpoint_variants(
+        self, capsys, tmp_path
+    ):
+        """A resumed run adopts the checkpoint's variants, and its
+        default tables follow them, not ``--variants``."""
+        path = tmp_path / "run.ckpt"
+        self.run_cli(
+            capsys,
+            "--variants", "winnt",
+            "--cap", "5",
+            "--tables", "table1",
+            "--checkpoint", str(path),
+            "--quiet",
+        )
+        code, out = self.run_cli(
+            capsys, "--resume", str(path), "--cap", "5", "--quiet"
+        )
+        assert code == 0
+        self.assert_non_voting_tables(out)
+
+    def test_load_defaults_tables_to_the_saved_variants(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "run.json"
+        self.run_cli(
+            capsys,
+            "--variants", "winnt",
+            "--cap", "5",
+            "--tables", "table1",
+            "--save", str(path),
+            "--quiet",
+        )
+        code, out = self.run_cli(capsys, "--load", str(path), "--quiet")
+        assert code == 0
+        self.assert_non_voting_tables(out)
+
 
 class TestCliExtras:
     def test_csv_flag_writes_files(self, capsys, tmp_path):

@@ -132,7 +132,7 @@ def kernel_object_fields(obj) -> tuple:
 
 def node_fields(node: FileNode) -> dict:
     fields = _slots(node)
-    fields["data"] = bytes(fields["data"])
+    fields["body"] = bytes(fields["body"])
     return fields
 
 
@@ -380,7 +380,7 @@ class ImageSpy:
         memory._shared_cursor = source._shared_cursor
         node = shadow.fds[0].node
         for name, value in node_fields(process.fds[0].node).items():
-            setattr(node, name, bytearray(value) if name == "data" else value)
+            setattr(node, name, bytearray(value) if name == "body" else value)
         return shadow
 
     def _compare(self, what: str, reused: dict, cold: dict) -> None:
