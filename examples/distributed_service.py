@@ -5,8 +5,10 @@ Act 1 reproduces the paper's architecture: a central test server (the
 CMU side) hands deterministic test plans to portable clients over an
 ONC-RPC-style protocol; each client runs one OS variant and streams
 results back.  Three clients (Windows 98, Windows NT, Linux) run
-concurrently against one server on localhost, and the server-side
-result set feeds the same report generators a local campaign would.
+concurrently against one server on localhost; each runs the campaign's
+own plan driver, so the server-side result set is verified identical
+to the same campaign run serially in-process, and feeds the same report
+generators.
 
 Act 2 inverts the topology with the multi-tenant campaign service: thin
 clients submit campaign *specs* and the service itself runs the
@@ -54,6 +56,12 @@ def act1_plan_pull(cap: int) -> None:
         thread.join()
     server.join({p.key for p in variants})
     server.shutdown()
+    serial = Campaign(variants, config=CampaignConfig(cap=cap)).run()
+    identical = results_to_dict(server.results) == results_to_dict(serial)
+    print(
+        f"  server holds {server.results.total_cases()} cases; "
+        f"identical to serial run: {identical}"
+    )
 
     print()
     print(render_table1(server.results))

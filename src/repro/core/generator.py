@@ -112,6 +112,14 @@ class CaseGenerator:
             self._plan_cache[mut.name] = plan
         return iter(plan)
 
+    def adopt_plan(self, mut: "MuT", plan: list[tuple[str, ...]]) -> None:
+        """Serve ``plan`` (value-name tuples, e.g. a test server's copy
+        of the sequence) as ``mut``'s cases from now on."""
+        self._plan_cache[mut.name] = [
+            TestCase(mut.name, index, tuple(names))
+            for index, names in enumerate(plan)
+        ]
+
     def _generate(self, mut: "MuT") -> Iterator[TestCase]:
         pools = self.pools(mut)
         sizes = [len(pool) for pool in pools]

@@ -121,6 +121,12 @@ def _row_cache(row) -> list:
     return cached
 
 
+def row_to_dict(row) -> dict:
+    """One result row as its ``results`` entry in a saved document
+    (shared with the row's cache: treat it as read-only)."""
+    return _row_cache(row)[1]
+
+
 def _row_json(row) -> str:
     """One result row's JSON text, encoded once per row state."""
     cached = _row_cache(row)
@@ -174,7 +180,7 @@ def _results_document(results: ResultSet, rows) -> dict:
 
 def results_to_dict(results: ResultSet) -> dict:
     """Serialise a ResultSet to plain JSON-compatible data."""
-    return _results_document(results, [_row_cache(row)[1] for row in results])
+    return _results_document(results, [row_to_dict(row) for row in results])
 
 
 def _results_json(results: ResultSet) -> str:

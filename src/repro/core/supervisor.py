@@ -171,13 +171,16 @@ class Supervisor:
             strikes = self.strikes.setdefault(tag, {})
             count = strikes[unit] = strikes.get(unit, 0) + 1
             if count > policy.max_mut_retries:
+                # The persisted reason leaves out the case index: it
+                # comes from wall-time-throttled heartbeats, so two runs
+                # of one campaign could quote different cases.
                 reason = self.verdicts.setdefault(tag, {})[unit] = (
-                    f"{kind} its worker {count} times "
-                    f"(last at case {case_index}); quarantined after "
+                    f"{kind} its worker {count} times; quarantined after "
                     f"{policy.max_mut_retries} retries"
                 )
                 self._log(
-                    "quarantine", variant, mut=unit, strikes=count, why=reason
+                    "quarantine", variant, mut=unit, strikes=count,
+                    case=case_index, why=reason,
                 )
         if used > policy.max_restarts:
             self._log("budget_exhausted", variant, restarts=used - 1, why=why)

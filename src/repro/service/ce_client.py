@@ -21,6 +21,7 @@ the next MuT.
 
 from __future__ import annotations
 
+from repro.core.campaign import _INTERFERENCE_MARKER
 from repro.core.crash_scale import CaseCode
 from repro.core.executor import Executor
 from repro.core.generator import CaseGenerator, TestCase
@@ -31,8 +32,6 @@ from repro.service.serial import SerialLink
 from repro.sim.errors import MachineCrashed
 from repro.sim.machine import Machine
 from repro.sim.personality import Personality
-
-_INTERFERENCE_MARKER = "accumulated corruption"
 
 #: Virtual cost of downloading a per-MuT test executable to the target.
 DOWNLOAD_MS = 4_000
@@ -120,7 +119,7 @@ class CETargetAgent:
             return  # device is down; nothing gets written
         if self.machine.crashed:
             return  # the crash ate the filesystem write too
-        record = f"{int(outcome.code)} {outcome.detail}".strip()
+        record = f"{int(outcome.code)} {outcome.error_code} {outcome.detail}"
         self.machine.fs.create_file(request["result_file"], record.encode("latin-1"))
 
 
@@ -167,6 +166,9 @@ class CEHostClient:
         """Test one MuT, recording into a MuTResult-compatible object."""
         self.elapsed_ms += DOWNLOAD_MS  # download the test executable
         for case in self.generator.cases(mut):
+            # The host generated the case, so it knows which inputs
+            # are exceptional; the crash reason it cannot see.
+            exceptional = self.generator.resolve_case(mut, case)[1]
             result_file = f"/tmp/ce_result_{mut.name}_{case.index}.txt"
             self.elapsed_ms += CREATE_MS  # remote process creation
             self._request(
@@ -183,7 +185,7 @@ class CEHostClient:
                 result.record(
                     case.index,
                     CaseCode.CATASTROPHIC,
-                    True,
+                    exceptional,
                     "target unresponsive after crash",
                     case.value_names,
                 )
@@ -193,13 +195,14 @@ class CEHostClient:
                     result.interference_crash = True
                 self._request({"cmd": "reboot"})
                 return
-            code_text, _, detail = data.partition(" ")
+            code_text, error_text, detail = data.split(" ", 2)
             result.record(
                 case.index,
                 CaseCode(int(code_text)),
-                False,  # the host cannot see ground truth remotely
+                exceptional,
                 detail,
                 case.value_names,
+                error_code=int(error_text),
             )
             self._request({"cmd": "delete_file", "path": result_file})
 

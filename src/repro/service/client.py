@@ -1,18 +1,20 @@
 """The portable Ballista testing client.
 
-One client instance tests one OS variant: it boots the simulated
-machine, announces itself to the server, pulls the deterministic test
-plan for each MuT, executes every case in a fresh process, and streams
-one result batch per MuT back.  A Catastrophic failure interrupts the
-MuT (the machine reboots) exactly as in the local campaign.
+One client instance tests one OS variant: it announces itself to the
+server, pulls the deterministic test plan for each MuT, runs the plan
+through the campaign's own plan driver and case runner
+(:func:`~repro.core.campaign.drive_plan`), and REPORTs each finished row
+in the results codec's encoding -- so the server holds exactly what a
+local :class:`~repro.core.campaign.Campaign` would have recorded.
 
 Dependability: calls go through a retrying
 :class:`~repro.service.rpc.RpcClient` (exponential backoff, per-call
 deadlines) so a lossy link does not kill the campaign; every REPORT
-carries a per-variant sequence number so a retransmitted batch is never
-double-counted by the server; and the client can periodically write a
-small checkpoint file from which a restarted client resumes, skipping
-MuTs whose batches the server already acknowledged.
+carries its MuT's plan position as a sequence number, so a retransmitted
+batch is never double-counted by the server; and the client can write a
+campaign checkpoint from which a restarted client resumes.  A row is
+reported before the driver moves the plan cursor past it, so every MuT a
+saved checkpoint holds was already acknowledged.
 """
 
 from __future__ import annotations
@@ -26,12 +28,17 @@ import time
 import zlib
 from typing import Callable
 
-from repro.core.crash_scale import CaseCode
-from repro.core.executor import Executor
-from repro.core.generator import CaseGenerator, TestCase
+from repro.core.campaign import CampaignConfig, _run_mut, check_resume, drive_plan
+from repro.core.generator import CaseGenerator
 from repro.core.mut import MuTRegistry, default_registry
 from repro.core.results import ResultSet
-from repro.core.results_io import results_from_dict
+from repro.core.results_io import (
+    CampaignCheckpoint,
+    load_checkpoint,
+    results_from_dict,
+    row_to_dict,
+    save_checkpoint,
+)
 from repro.core.types import TypeRegistry, default_types
 from repro.service import protocol as P
 from repro.service.rpc import (
@@ -42,12 +49,7 @@ from repro.service.rpc import (
     SocketTransport,
     Transport,
 )
-from repro.sim.machine import Machine
 from repro.sim.personality import Personality
-
-_INTERFERENCE_MARKER = "accumulated corruption"
-
-CLIENT_CHECKPOINT_FORMAT = "ballista-client-checkpoint"
 
 
 def default_connect_timeout() -> float:
@@ -76,9 +78,10 @@ class BallistaClient:
 
     :param retry: RPC retransmission policy; pass ``None`` for the
         legacy single-shot behaviour (any transport fault is fatal).
-    :param checkpoint_path: write a resume file here after every
-        ``checkpoint_every`` acknowledged MuT batches; a relaunched
-        client pointed at the same path skips the acknowledged MuTs.
+    :param checkpoint_path: write a campaign checkpoint here every
+        ``checkpoint_every`` MuTs (and at the end); a relaunched client
+        pointed at the same path resumes from it, as ``Campaign.run``
+        resumes, after checking it against its variant and the cap.
     """
 
     def __init__(
@@ -107,11 +110,15 @@ class BallistaClient:
             pathlib.Path(checkpoint_path) if checkpoint_path else None
         )
         self.checkpoint_every = checkpoint_every
-        #: "api:name" keys of MuTs whose REPORT the server acknowledged.
-        self._reported: set[str] = set()
-        self._seq = 0
-        self._wear: dict = {}
-        self._load_checkpoint()
+        #: The interrupted run's checkpoint, resumed by :meth:`run`.
+        self._resume: CampaignCheckpoint | None = None
+        if self.checkpoint_path is not None and self.checkpoint_path.exists():
+            self._resume = load_checkpoint(self.checkpoint_path)
+            if self._resume.variants not in (None, [personality.key]):
+                raise ValueError(
+                    f"checkpoint is for variants {self._resume.variants}, "
+                    f"this client tests {personality.key!r}"
+                )
 
     @classmethod
     def connect(
@@ -135,111 +142,41 @@ class BallistaClient:
             transport = wrap(transport)
         return cls(personality, transport, **kwargs)
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def _load_checkpoint(self) -> None:
-        if self.checkpoint_path is None or not self.checkpoint_path.exists():
-            return
-        document = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
-        if document.get("format") != CLIENT_CHECKPOINT_FORMAT:
-            raise ValueError(f"{self.checkpoint_path} is not a client checkpoint")
-        if document.get("variant") != self.personality.key:
-            raise ValueError(
-                f"checkpoint is for variant {document.get('variant')!r}, "
-                f"this client tests {self.personality.key!r}"
-            )
-        self._reported = set(document.get("reported", []))
-        self._seq = int(document.get("next_seq", len(self._reported)))
-        self._wear = {
-            k: int(v) if isinstance(v, (int, bool)) else v
-            for k, v in document.get("machine_wear", {}).items()
-        }
-
-    def _save_checkpoint(self) -> None:
-        if self.checkpoint_path is None:
-            return
-        document = {
-            "format": CLIENT_CHECKPOINT_FORMAT,
-            "version": 1,
-            "variant": self.personality.key,
-            "reported": sorted(self._reported),
-            "next_seq": self._seq,
-            "machine_wear": self._wear,
-        }
-        tmp = self.checkpoint_path.with_name(self.checkpoint_path.name + ".tmp")
-        tmp.write_text(json.dumps(document), encoding="utf-8")
-        os.replace(tmp, self.checkpoint_path)
-
-    # ------------------------------------------------------------------
-
     def heartbeat(self) -> None:
         """Renew this variant's lease on the server."""
         self.rpc.call(P.PROC_HEARTBEAT, P.encode_hello(self.personality.key))
 
     def run(self) -> int:
         """Execute the full plan; returns the number of MuTs tested."""
-        reply = self.rpc.call(
-            P.PROC_HELLO, P.encode_hello(self.personality.key)
-        )
+        variant = self.personality.key
+        reply = self.rpc.call(P.PROC_HELLO, P.encode_hello(variant))
         entries, cap = P.decode_hello_reply(reply)
+        config = CampaignConfig(cap=cap)
         generator = CaseGenerator(self.types, cap=cap)
-        machine = Machine(self.personality)
-        if self._wear:
-            machine.restore_wear(self._wear)
-        executor = Executor(machine, generator)
+        muts = [self.registry.get(entry.api, entry.name) for entry in entries]
+        checkpoint = self._resume or CampaignCheckpoint(
+            ResultSet(), cap=cap, variants=[variant]
+        )
+        check_resume(checkpoint, config, [variant])
 
-        since_checkpoint = 0
-        for entry in entries:
-            key = f"{entry.api}:{entry.name}"
-            if key in self._reported:
-                continue  # the server already has this batch
-            mut = self.registry.get(entry.api, entry.name)
-            plan = P.decode_plan_reply(
-                self.rpc.call(
-                    P.PROC_GET_PLAN, P.encode_get_plan(entry.api, entry.name)
-                )
-            )
-            codes = bytearray()
-            exceptional = bytearray()
-            error_codes: list[int] = []
-            interference = False
-            for index, value_names in enumerate(plan):
-                case = TestCase(mut.name, index, value_names)
-                outcome = executor.run_case(mut, case)
-                codes.append(int(outcome.code))
-                exceptional.append(1 if outcome.exceptional_input else 0)
-                error_codes.append(outcome.error_code)
-                if outcome.code is CaseCode.CATASTROPHIC:
-                    if _INTERFERENCE_MARKER in outcome.detail:
-                        interference = True
-                    machine.reboot()
-                    break
-            self.rpc.call(
-                P.PROC_REPORT,
-                P.encode_report(
-                    self.personality.key,
-                    entry.api,
-                    entry.name,
-                    bytes(codes),
-                    bytes(exceptional),
-                    interference,
-                    capped=generator.is_capped(mut),
-                    planned=len(plan),
-                    error_codes=error_codes,
-                    seq=self._seq,
-                ),
-            )
-            self._seq += 1
-            self._reported.add(key)
-            self._wear = machine.wear_state()
-            since_checkpoint += 1
-            if since_checkpoint >= self.checkpoint_every:
-                self._save_checkpoint()
-                since_checkpoint = 0
-        self.rpc.call(P.PROC_COMPLETE, P.encode_hello(self.personality.key))
-        self._save_checkpoint()
+        def run_unit(executor, mut, key, result, config, heartbeat, recorder):
+            plan = self.rpc.call(P.PROC_GET_PLAN, P.encode_get_plan(mut.api, mut.name))
+            generator.adopt_plan(mut, P.decode_plan_reply(plan))
+            _run_mut(executor, mut, key, result, config, heartbeat, recorder)
+            # The plan position is the REPORT's sequence number, so a
+            # resumed client re-sends a batch under the same number.
+            report = {"seq": muts.index(mut), "row": row_to_dict(result)}
+            return lambda: self.rpc.call(P.PROC_REPORT, P.encode_json(report))
+
+        drive_plan(
+            run_unit, self.personality, muts, generator, config,
+            checkpoint.results, None, checkpoint, self.checkpoint_path,
+            self.checkpoint_every,
+        )
+        self.rpc.call(P.PROC_COMPLETE, P.encode_hello(variant))
+        checkpoint.complete = True
+        if self.checkpoint_path is not None:
+            save_checkpoint(checkpoint, self.checkpoint_path)
         return len(entries)
 
     def close(self) -> None:

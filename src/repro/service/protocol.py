@@ -3,7 +3,9 @@
 The protocol is deliberately chatty in the way the 1999 service was: the
 client announces its OS variant, the server hands out a per-MuT test
 plan (the deterministic case list), and the client streams back one
-result batch per MuT.
+result batch per MuT.  A REPORT body is the v2 JSON envelope
+``{"seq": plan position, "row": row}``, where ``row`` is the MuT's
+entry in a saved results document (the results codec's encoding).
 
 The v2 campaign-service procedures (``PROC_SUBMIT`` ..
 ``PROC_QUEUE_STATS``) carry JSON documents inside a single XDR string.
@@ -101,53 +103,6 @@ def encode_plan_reply(cases: list[tuple[str, ...]]) -> bytes:
 def decode_plan_reply(dec: XdrDecoder) -> list[tuple[str, ...]]:
     count = dec.u32()
     return [tuple(dec.string_array()) for _ in range(count)]
-
-
-def encode_report(
-    variant: str,
-    api: str,
-    name: str,
-    codes: bytes,
-    exceptional: bytes,
-    interference: bool,
-    capped: bool,
-    planned: int,
-    error_codes: list[int] | None = None,
-    seq: int = 0,
-) -> bytes:
-    """``seq`` is the per-variant batch sequence number: a retransmitted
-    REPORT reuses its number, which is how the server recognises (and
-    acknowledges without double-counting) duplicates."""
-    enc = XdrEncoder()
-    enc.string(variant).string(api).string(name)
-    enc.opaque(codes).opaque(exceptional)
-    enc.boolean(interference).boolean(capped)
-    enc.u32(planned)
-    blob = b"".join(
-        (code & 0xFFFF_FFFF).to_bytes(4, "big") for code in (error_codes or [])
-    )
-    enc.opaque(blob)
-    enc.u32(seq)
-    return enc.bytes()
-
-
-def decode_report(dec: XdrDecoder) -> dict:
-    report = {
-        "variant": dec.string(),
-        "api": dec.string(),
-        "name": dec.string(),
-        "codes": dec.opaque(),
-        "exceptional": dec.opaque(),
-        "interference": dec.boolean(),
-        "capped": dec.boolean(),
-        "planned": dec.u32(),
-    }
-    blob = dec.opaque()
-    report["error_codes"] = [
-        int.from_bytes(blob[i : i + 4], "big") for i in range(0, len(blob), 4)
-    ]
-    report["seq"] = dec.u32()
-    return report
 
 
 # ----------------------------------------------------------------------

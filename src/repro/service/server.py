@@ -8,13 +8,13 @@ produced it.
 
 Dependability: every procedure is idempotent so that clients may
 retransmit freely over lossy links -- HELLO and GET_PLAN are pure reads
-of deterministic state, COMPLETE is a set insert, and REPORT carries a
-per-variant sequence number so a duplicate batch is acknowledged but
-never double-counted.  The server also tracks a lease per connected
-variant (renewed by every RPC, including explicit HEARTBEATs); when a
-lease expires, :meth:`BallistaServer.join` marks that variant's results
-partial and lets the campaign finish with the survivors instead of
-hanging forever on a dead client.
+of deterministic state, COMPLETE is a set insert, and REPORT carries
+its MuT's plan position as a sequence number so a duplicate batch is
+acknowledged but never double-counted.  The server also tracks a lease
+per connected variant (renewed by every RPC, including explicit
+HEARTBEATs); when a lease expires, :meth:`BallistaServer.join` marks
+that variant's results partial and lets the campaign finish with the
+survivors instead of hanging forever on a dead client.
 
 Two servers live here:
 
@@ -38,16 +38,17 @@ import socket
 import threading
 import time
 
-from repro.core.crash_scale import CaseCode
 from repro.core.generator import CaseGenerator
 from repro.core.mut import MuTRegistry, default_registry
 from repro.core.parallel import shard_bounds
 from repro.core.pool import WorkerPool
 from repro.core.results import ResultSet
 from repro.core.results_io import (
+    FORMAT_VERSION,
     ResultFormatError,
     load_checkpoint,
     merge_checkpoints,
+    results_from_dict,
     results_to_dict,
     save_results,
 )
@@ -155,10 +156,25 @@ class BallistaServer:
         return P.encode_plan_reply(cases)
 
     def _on_report(self, dec: XdrDecoder) -> bytes:
-        report = P.decode_report(dec)
-        variant = report["variant"]
+        report = P.decode_json(dec)
+        row = report["row"]
+        variant = row["variant"]
+        if variant not in self._variants:
+            raise ValueError(f"REPORT for unknown variant {variant!r}")
         self._renew_lease(variant)
-        mut = self.registry.get(report["api"], report["name"])
+        mut = self.registry.get(row["api"], row["mut"])
+        if row["group"] != mut.group:
+            raise ValueError(
+                f"REPORT puts {mut.api}:{mut.name} in group {row['group']!r}, "
+                f"not {mut.group!r}"
+            )
+        batch = results_from_dict(
+            {
+                "format": "ballista-results",
+                "version": FORMAT_VERSION,
+                "results": [row],
+            }
+        )
         with self._lock:
             applied = self._applied_seqs.setdefault(variant, set())
             if report["seq"] in applied:
@@ -166,22 +182,7 @@ class BallistaServer:
                 # original ack was lost.  Acknowledge, do not re-count.
                 self.duplicate_reports += 1
                 return b""
-            result = self.results.new_result(
-                variant, mut.name, mut.api, mut.group
-            )
-            error_codes = report["error_codes"] or [0] * len(report["codes"])
-            for index, (code, exceptional, error_code) in enumerate(
-                zip(report["codes"], report["exceptional"], error_codes)
-            ):
-                result.record(
-                    index,
-                    CaseCode(code),
-                    bool(exceptional),
-                    error_code=error_code,
-                )
-            result.interference_crash = report["interference"]
-            result.capped = report["capped"]
-            result.planned_cases = report["planned"]
+            self.results.merge(batch)
             applied.add(report["seq"])
         return b""
 

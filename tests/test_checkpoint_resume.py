@@ -439,7 +439,9 @@ class TestClientResume:
         )
         with pytest.raises(RpcError):
             doomed.run()
-        assert ckpt.exists()
+        assert len(load_checkpoint(ckpt).results), (
+            "the checkpoint must hold the acknowledged MuTs"
+        )
 
         # Relaunch against the same server with the same checkpoint.
         server_end, client_end = LoopbackTransport.pair()
@@ -451,27 +453,56 @@ class TestClientResume:
             checkpoint_path=ckpt,
             checkpoint_every=1,
         )
-        assert resumed._reported, "checkpoint must preload acked MuTs"
         resumed.run()
         server.join({"winnt"})
 
         assert_same_results(server.results, clean_server.results)
 
+    def run_client(self, registry, personality, cap, **kwargs):
+        """One client run against a fresh server; returns the server."""
+        server = BallistaServer([personality], registry=registry, cap=cap)
+        server_end, client_end = LoopbackTransport.pair()
+        server.attach(server_end)
+        BallistaClient(personality, client_end, registry=registry, **kwargs).run()
+        server.join({personality.key})
+        return server
+
     def test_checkpoint_for_wrong_variant_rejected(
         self, subset_registry, winnt, win98, tmp_path
     ):
         ckpt = tmp_path / "client.ckpt"
-        _, client_end = LoopbackTransport.pair()
-        client = BallistaClient(
-            winnt, client_end, registry=subset_registry, checkpoint_path=ckpt
-        )
-        client._reported = {"win32:CloseHandle"}
-        client._save_checkpoint()
+        self.run_client(subset_registry, winnt, 10, checkpoint_path=ckpt)
         _, other_end = LoopbackTransport.pair()
         with pytest.raises(ValueError, match="variant"):
             BallistaClient(
                 win98, other_end, registry=subset_registry, checkpoint_path=ckpt
             )
+
+    def test_final_checkpoint_equals_local_campaigns(
+        self, subset_registry, winnt, tmp_path
+    ):
+        """The client's resume file is a campaign checkpoint: at the end
+        it holds what a local campaign's final checkpoint holds."""
+        ckpt, local = tmp_path / "client.ckpt", tmp_path / "local.ckpt"
+        self.run_client(
+            subset_registry, winnt, 40, checkpoint_path=ckpt, checkpoint_every=2
+        )
+        small_campaign(subset_registry, [winnt], cap=40).run(
+            checkpoint_path=local
+        )
+        assert checkpoint_to_dict(load_checkpoint(ckpt)) == checkpoint_to_dict(
+            load_checkpoint(local)
+        )
+
+    def test_checkpoint_from_another_cap_refused(
+        self, subset_registry, winnt, tmp_path
+    ):
+        """Case sequences are a function of the cap: a client must not
+        splice a checkpoint taken at one cap into a server's other cap."""
+        ckpt = tmp_path / "client.ckpt"
+        self.run_client(subset_registry, winnt, 10, checkpoint_path=ckpt)
+        with pytest.raises(ValueError, match="cap=10"):
+            self.run_client(subset_registry, winnt, 20, checkpoint_path=ckpt)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,10 @@ import threading
 import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.crash_scale import CaseCode
 from repro.core.mut import MuTRegistry
+from repro.core.results import ResultSet
+from repro.core.results_io import results_to_dict, row_to_dict
 from repro.service import (
     BallistaClient,
     BallistaServer,
@@ -166,14 +169,22 @@ class TestProtocolCodecs:
         data = P.encode_plan_reply(cases)
         assert P.decode_plan_reply(XdrDecoder(data)) == cases
 
-    def test_report_roundtrip(self):
-        data = P.encode_report(
-            "win98", "libc", "strcpy", b"\x00\x02", b"\x01\x00", True, False, 2
+    def test_report_roundtrip(self, subset_registry, win98):
+        """A REPORT carries one row in the results codec's encoding, and
+        the server records exactly that row."""
+        mut = subset_registry.get("libc", "strcpy")
+        sent = ResultSet()
+        row = sent.new_result("win98", mut.name, mut.api, mut.group)
+        row.record(0, CaseCode.PASS_NO_ERROR, True)
+        row.record(1, CaseCode.CATASTROPHIC, False, "system crash", ("A", "B"))
+        row.interference_crash, row.planned_cases = True, 2
+        server = BallistaServer([win98], registry=subset_registry, cap=2)
+        a, b = LoopbackTransport.pair()
+        server.attach(a)
+        RpcClient(b).call(
+            P.PROC_REPORT, P.encode_json({"seq": 0, "row": row_to_dict(row)})
         )
-        report = P.decode_report(XdrDecoder(data))
-        assert report["variant"] == "win98"
-        assert report["codes"] == b"\x00\x02"
-        assert report["interference"] is True
+        assert results_to_dict(server.results) == results_to_dict(sent)
 
 
 class TestServiceEndToEnd:
@@ -193,14 +204,9 @@ class TestServiceEndToEnd:
         local = Campaign(
             [win98, winnt], registry=subset_registry, config=CampaignConfig(cap=cap)
         ).run()
-        for variant in ("win98", "winnt"):
-            for row in local.for_variant(variant):
-                remote = server.results.get(variant, row.mut_name, api=row.api)
-                assert bytes(remote.codes) == bytes(row.codes), (
-                    variant,
-                    row.mut_name,
-                )
-                assert remote.catastrophic == row.catastrophic
+        # Whole documents: details and failing value names included, so
+        # every failure the server holds replays like the campaign's.
+        assert results_to_dict(server.results) == results_to_dict(local)
 
     def test_tcp_sockets_end_to_end(self, subset_registry, winnt):
         server = BallistaServer([winnt], registry=subset_registry, cap=20)
@@ -231,15 +237,27 @@ class TestCESplitClient:
         return link, machine, host
 
     def test_matches_local_campaign_outcomes(self, subset_registry, wince):
+        """The host records what a local campaign records, except what it
+        cannot see: the target's crash reason (the Catastrophic case's
+        detail text)."""
         _, _, host = self.make_split(subset_registry, wince)
         remote = host.run()
         local = Campaign(
             [wince], registry=subset_registry, config=CampaignConfig(cap=40)
         ).run()
-        for row in local.for_variant("wince"):
-            mirrored = remote.get("wince", row.mut_name, api=row.api)
-            assert mirrored.catastrophic == row.catastrophic, row.mut_name
-            assert len(mirrored.codes) == len(row.codes)
+        assert len(remote) == len(local)
+        for row in local:
+            mine = dict(row_to_dict(remote.get("wince", row.mut_name, row.api)))
+            theirs = dict(row_to_dict(row))
+            if row.catastrophic:
+                crash = str(len(row.codes) - 1)
+                mine["details"] = dict(mine["details"])
+                theirs["details"] = dict(theirs["details"])
+                assert mine["details"].pop(crash) == (
+                    "target unresponsive after crash"
+                )
+                assert theirs["details"].pop(crash)
+            assert mine == theirs, row.mut_name
 
     def test_crash_detected_via_unresponsive_polls(self, subset_registry, wince):
         _, machine, host = self.make_split(subset_registry, wince)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.mut import MuTRegistry
+from repro.core.results_io import load_checkpoint, results_to_dict, save_results
 from repro.service import (
     BallistaClient,
     BallistaServer,
@@ -318,16 +319,11 @@ class TestDistributedCampaignUnderChaos:
         injected = sum(t.stats.faults for t in chaos_transports)
         assert injected > 0, "chaos schedule injected nothing; change seed"
 
-        assert len(faulty.results) == len(clean.results)
-        for row in clean.results:
-            mirrored = faulty.results.get(row.variant, row.mut_name, api=row.api)
-            assert bytes(mirrored.codes) == bytes(row.codes)
-            assert bytes(mirrored.exceptional) == bytes(row.exceptional)
-            assert mirrored.error_codes == row.error_codes
-            assert mirrored.catastrophic == row.catastrophic
-            assert mirrored.interference_crash == row.interference_crash
-            assert mirrored.planned_cases == row.planned_cases
-        assert faulty.results.partial_variants() == set()
+        local = Campaign(
+            [win98, winnt], registry=subset_registry, config=CampaignConfig(cap=60)
+        ).run()
+        assert results_to_dict(clean.results) == results_to_dict(local)
+        assert results_to_dict(faulty.results) == results_to_dict(local)
 
     def test_duplicate_reports_are_idempotent_under_chaos(
         self, subset_registry, winnt
@@ -341,11 +337,52 @@ class TestDistributedCampaignUnderChaos:
         local = Campaign(
             [winnt], registry=subset_registry, config=CampaignConfig(cap=60)
         ).run()
-        for row in local.for_variant("winnt"):
-            mirrored = server.results.get("winnt", row.mut_name, api=row.api)
-            assert bytes(mirrored.codes) == bytes(row.codes)
-            assert len(mirrored.codes) == len(row.codes)  # never doubled
+        assert results_to_dict(server.results) == results_to_dict(local)
+        assert server.duplicate_reports > 0
         assert sum(t.stats.faults for t in transports) > 0
+
+    def test_killed_and_resumed_client_saves_the_campaigns_bytes(
+        self, subset_registry, winnt, tmp_path
+    ):
+        """A client that dies mid-campaign on a lossy link and is
+        relaunched from its checkpoint leaves the server holding the
+        local campaign's result file, byte for byte: batches reported
+        after the last checkpoint are re-sent under their plan position
+        and deduplicated."""
+        cap, ckpt = 40, tmp_path / "client.ckpt"
+        server = BallistaServer([winnt], registry=subset_registry, cap=cap)
+        for config in (
+            ChaosConfig(seed=3, drop_rate=0.05, dup_rate=0.05, disconnect_after=17),
+            ChaosConfig(seed=4, drop_rate=0.05, dup_rate=0.05),
+        ):
+            server_end, client_end = LoopbackTransport.pair()
+            server.attach(server_end)
+            client = BallistaClient(
+                winnt,
+                ChaosTransport(client_end, config),
+                registry=subset_registry,
+                retry=FAST_RETRY,
+                checkpoint_path=ckpt,
+                checkpoint_every=2,
+            )
+            if config.disconnect_after is None:
+                client.run()
+            else:
+                with pytest.raises(RpcError):
+                    client.run()
+                assert 0 < len(load_checkpoint(ckpt).results) < len(
+                    subset_registry.for_variant(winnt)
+                )
+        server.join({"winnt"})
+        assert server.duplicate_reports > 0
+        save_results(server.results, tmp_path / "served.json")
+        local = Campaign(
+            [winnt], registry=subset_registry, config=CampaignConfig(cap=cap)
+        ).run()
+        save_results(local, tmp_path / "local.json")
+        assert (tmp_path / "served.json").read_bytes() == (
+            tmp_path / "local.json"
+        ).read_bytes()
 
 
 class TestLeasesAndGracefulDegradation:

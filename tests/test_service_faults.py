@@ -6,6 +6,9 @@ import threading
 
 import pytest
 
+from repro.core.crash_scale import CaseCode
+from repro.core.results import ResultSet
+from repro.core.results_io import row_to_dict
 from repro.service import protocol as P
 from repro.service.rpc import (
     ACCEPT_SYSTEM_ERR,
@@ -16,6 +19,17 @@ from repro.service.rpc import (
     serve_connection,
 )
 from repro.service.xdr import XdrDecoder, XdrEncoder
+
+
+def report_body(registry, seq, **change):
+    """A REPORT for a one-case winnt ``CloseHandle`` row, with the
+    row's fields overridden by ``change``."""
+    mut = registry.get("win32", "CloseHandle")
+    results = ResultSet()
+    row = results.new_result("winnt", mut.name, mut.api, mut.group)
+    row.record(0, CaseCode.PASS_NO_ERROR, False)
+    row.planned_cases = 1
+    return P.encode_json({"seq": seq, "row": {**row_to_dict(row), **change}})
 
 
 def spawn_server(handlers):
@@ -137,10 +151,7 @@ class TestProtocolRobustness:
 
         server = BallistaServer([winnt], registry=registry, cap=10)
         client, _ = spawn_server(server.handlers())
-        body = P.encode_report(
-            "winnt", "win32", "CloseHandle", b"\x00", b"\x00", False, False, 1,
-            [0], seq=0,
-        )
+        body = report_body(registry, seq=0)
         client.call(P.PROC_REPORT, body)
         # A retransmission (same sequence number) is acknowledged so the
         # client can move on, but the batch is recorded exactly once.
@@ -156,17 +167,41 @@ class TestProtocolRobustness:
         server = BallistaServer([winnt], registry=registry, cap=10)
         client, _ = spawn_server(server.handlers())
 
-        def body(seq):
-            return P.encode_report(
-                "winnt", "win32", "CloseHandle", b"\x00", b"\x00", False,
-                False, 1, [0], seq=seq,
-            )
-
-        client.call(P.PROC_REPORT, body(0))
+        client.call(P.PROC_REPORT, report_body(registry, seq=0))
         # Same MuT under a *new* sequence number is a client bug, not a
         # retransmission: the duplicate result is still rejected.
         with pytest.raises(RpcError, match=f"accept state {ACCEPT_SYSTEM_ERR}"):
-            client.call(P.PROC_REPORT, body(1))
+            client.call(P.PROC_REPORT, report_body(registry, seq=1))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"variant": "beos"},
+            {"mut": "NopeA"},
+            {"group": "C string"},
+            {"codes": "zz"},
+            {"exceptional": ""},
+        ],
+        ids=[
+            "unknown-variant",
+            "unknown-mut",
+            "wrong-group",
+            "bad-hex",
+            "short-row",
+        ],
+    )
+    def test_report_the_server_cannot_vouch_for_is_system_err(
+        self, registry, winnt, change
+    ):
+        """A REPORT comes from outside: the server refuses a row it does
+        not know how to place, and records nothing for it."""
+        from repro.service.server import BallistaServer
+
+        server = BallistaServer([winnt], registry=registry, cap=10)
+        client, _ = spawn_server(server.handlers())
+        with pytest.raises(RpcError, match=f"accept state {ACCEPT_SYSTEM_ERR}"):
+            client.call(P.PROC_REPORT, report_body(registry, seq=0, **change))
+        assert len(server.results) == 0
 
     def test_report_with_garbage_body_is_garbage_args(self, registry, winnt):
         from repro.service.rpc import ACCEPT_GARBAGE_ARGS

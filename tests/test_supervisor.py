@@ -499,11 +499,25 @@ class TestSupervisorDecisions:
         supervisor.inflight["winnt"] = ("libc:strcat", 7)
         assert supervisor.died("winnt", "killed", "exited with code -9") is None
         assert supervisor.verdicts["winnt"] == {
-            "libc:strcat": "killed its worker 1 times (last at case 7); "
+            "libc:strcat": "killed its worker 1 times; "
             "quarantined after 0 retries"
         }
         assert "winnt" not in supervisor.inflight
         assert [entry[0] for entry in log] == ["quarantine", "restart"]
+        assert log[0][2]["mut"] == "libc:strcat" and log[0][2]["case"] == 7
+
+    def test_persisted_reason_does_not_depend_on_the_heartbeat_case(self):
+        """Heartbeats are throttled by wall time, so the case a death is
+        last seen at varies between runs; the reason a results file
+        keeps must not."""
+        reasons = []
+        for last_case in (3, 250):
+            supervisor, _, _, log = decisions(max_mut_retries=0)
+            supervisor.inflight["winnt"] = ("libc:strcpy", last_case)
+            supervisor.died("winnt", "killed", "exited with code -9")
+            reasons.append(supervisor.verdicts["winnt"]["libc:strcpy"])
+            assert log[0][2]["case"] == last_case
+        assert reasons[0] == reasons[1]
 
     def test_quarantine_arrives_at_strike_max_mut_retries_plus_one(self):
         supervisor, _, recorder, log = decisions(max_mut_retries=2)
