@@ -16,10 +16,12 @@ closures and cannot cross a spawn boundary), run the exact serial
 per-variant loop (the plan driver,
 :func:`repro.core.campaign.drive_plan`, via a single-variant
 :class:`~repro.core.campaign.Campaign`), and stream progress events and
-their final checkpoint back over a queue.  The parent merges the
-per-variant shards into one :class:`CampaignCheckpoint` whose serialised
-form is byte-identical to the serial run's -- result rows serialise
-sorted by key, so completion order cannot leak into the output.
+their final checkpoint back over a queue.  One :class:`SlicePlanner`
+-- the campaign service's too -- builds the worker specs and settles
+what they return.  The parent merges the per-variant shards into one
+:class:`CampaignCheckpoint` whose serialised form is byte-identical to
+the serial run's -- result rows serialise sorted by key, so completion
+order cannot leak into the output.
 
 Checkpoint/resume semantics match the serial runner: each worker
 checkpoints its own shard (``<path>.<variant>.shard``) and the parent
@@ -45,7 +47,7 @@ import traceback
 import warnings
 from typing import Iterable, Sequence
 
-from repro.core.atlas import load_atlas, save_atlas
+from repro.core.atlas import WearAtlas, load_atlas, save_atlas
 from repro.core.campaign import (
     Campaign,
     CampaignConfig,
@@ -254,7 +256,7 @@ def _shard_file_matches(resume: CampaignCheckpoint, shard: dict | None) -> bool:
     )
 
 
-def _personality_by_key(key: str) -> Personality:
+def personality_by_key(key: str) -> Personality:
     from repro import ALL_VARIANTS
 
     for personality in ALL_VARIANTS:
@@ -310,16 +312,16 @@ def _variant_worker(spec: dict, events, generators: _GeneratorMemo) -> None:
     memo: its plans are pure functions of their inputs, so a warm worker
     runs the next spec exactly as a cold one would.
 
-    ``tag`` is ``spec["tag"]`` when present, else the variant key.  The
-    campaign runners never set one (their unit of work *is* the
-    variant), but the multi-tenant campaign service leases the same
-    variant to several concurrent jobs and needs each worker's messages
-    routed to its own shard, so it tags specs ``"<job>/<variant>"``.
+    ``tag`` is ``spec["tag"]`` when present, else the variant key.
+    :class:`SlicePlanner` tags a spec with its variant key, or
+    ``variant#k`` for a slice; the multi-tenant campaign service leases
+    the same variant to several concurrent jobs and needs each worker's
+    messages routed to its own shard, so it prefixes ``"<job>/"``.
     """
     key = spec["variant"]
     tag = spec.get("tag") or key
     try:
-        personality = _personality_by_key(key)
+        personality = personality_by_key(key)
         config = CampaignConfig(**spec["config"])
         campaign = Campaign(
             [personality],
@@ -400,23 +402,35 @@ def _variant_worker(spec: dict, events, generators: _GeneratorMemo) -> None:
         events.put(("error", tag, traceback.format_exc()))
 
 
-class _SeamPlanner:
-    """Settlement cascade for intra-variant shard slices.
+class SlicePlanner:
+    """The slice planner of both runners: it builds a run's worker
+    specs, says which of them may run, and settles finished slices.
+
+    Each spec is the ``common`` fields plus the MuT-name filter, the
+    config fields (:func:`config_spec_fields`), the variant, a tag and
+    a shard file named after ``shard_base``.  With ``shards == 1`` a
+    variant is one spec tagged with its bare key and no ``shard`` block,
+    carrying its slice of ``resume``.  With ``shards > 1`` each
+    variant's plan is cut into contiguous slices (:func:`shard_bounds`),
+    one spec per incomplete slice, tagged ``variant#k``; slices a
+    ``resume`` document already completed settle up front, with no
+    worker.
 
     A slice is only *byte-faithful* if it executed from the exact
     machine wear the serial run would show at its first plan position.
     Slice 0's base (fresh boot, or the resume document) is authoritative
     by construction; every later slice runs from either the settled end
     wear of its predecessor (cold: the chain degenerates to a pipeline)
-    or a speculative seam from the wear atlas (warm: all slices launch
-    at once).  When a slice finishes, the planner walks the variant's
-    chain from the front and *settles* each finished slice whose
-    self-reported ``base_wear`` fingerprint matches its predecessor's
-    settled end wear; a mismatch means the speculation was stale, so the
-    slice's results are discarded and its spec is rebased onto the true
-    frontier and re-queued.  Each slice replays at most once per
-    settlement (its rebased base is authoritative), so a fully stale
-    atlas costs one extra pass, never a livelock.
+    or a speculative seam from the wear ``atlas`` (warm: all slices
+    launch at once).  When a slice finishes, :meth:`on_done` walks the
+    variant's chain from the front and *settles* each finished slice
+    whose self-reported ``base_wear`` fingerprint matches its
+    predecessor's settled end wear; a mismatch means the speculation was
+    stale, so the slice's results are discarded and its spec is rebased
+    onto the true frontier and returned for a replay.  Each slice
+    replays at most once per settlement (its rebased base is
+    authoritative), so a fully stale atlas costs one extra pass, never a
+    livelock.  Settled seams are recorded into the atlas.
 
     ``resumed`` slices (their basis is a checkpoint document, the same
     trust extended to any resume) settle without a seam check, exactly
@@ -424,21 +438,162 @@ class _SeamPlanner:
 
     Seam checks compare fingerprints from :meth:`fingerprint`, which
     dumps each wear image once however often the cascade re-walks a
-    chain; the final merge reuses them.
+    chain; the final merge of :meth:`pieces` reuses them.
     """
 
-    def __init__(self) -> None:
-        #: variant -> slice entries in plan order (synthetic pre-settled
-        #: resume prefixes first, then one entry per worker spec).
+    def __init__(
+        self,
+        variants: Sequence[Personality],
+        config: CampaignConfig,
+        muts: Iterable[str] | None,
+        shards: int,
+        shard_base: str | pathlib.Path,
+        common: dict,
+        resume: CampaignCheckpoint | None = None,
+        atlas: WearAtlas | None = None,
+    ) -> None:
+        self.config = config
+        self.atlas = atlas
+        #: variant -> its plan identities, in plan order.
+        self.plans: dict[str, list] = {}
+        #: Every worker spec, in variant then plan order.
+        self.specs: list[dict] = []
+        #: variant -> slice entries in plan order (pre-settled resume
+        #: prefixes included).
         self._chains: dict[str, list[dict]] = {}
         self._by_tag: dict[str, dict] = {}
         self._spawned: set[str] = set()
-        #: variant -> {plan position -> settled wear} for the atlas.
-        self._learned: dict[str, dict[int, dict]] = {}
         #: id(wear image) -> (the image, its fingerprint); holding the
         #: image keeps its id from being reused within the run.
         self._fingerprints: dict[int, tuple[dict, str]] = {}
-        self.replays = 0
+        common = dict(
+            common,
+            muts=None if muts is None else list(muts),
+            config=config_spec_fields(config),
+        )
+        for personality in variants:
+            key = personality.key
+            plan = self.plans[key] = plan_identities(personality, config, muts)
+            if shards == 1:
+                resume_doc = None
+                if resume is not None:
+                    piece = split_checkpoint(resume, key)
+                    piece.complete = False
+                    resume_doc = checkpoint_to_dict(piece)
+                spec = dict(
+                    common,
+                    variant=key,
+                    tag=key,
+                    shard_path=str(shard_path(shard_base, key)),
+                    resume=resume_doc,
+                )
+                self._add(key, spec, 0, len(plan), known=True)
+                continue
+            cursor = resume.cursors.get(key, 0) if resume is not None else 0
+            for index, (start, stop) in enumerate(
+                shard_bounds(len(plan), shards)
+            ):
+                if resume is not None and cursor >= stop:
+                    # Completed by the interrupted run: a settled,
+                    # workerless piece.  Its end wear is known exactly
+                    # when the resume document's wear frontier lies in
+                    # this slice (cursor == stop); earlier pieces'
+                    # successors are themselves settled or resumed and
+                    # never consult it.
+                    piece = split_checkpoint(
+                        resume, key, plan=plan, span=(start, stop)
+                    )
+                    piece.shard = {
+                        "variant": key,
+                        "index": index,
+                        "start": start,
+                        "stop": stop,
+                        "resumed": True,
+                        "base_wear": None,
+                    }
+                    entry = self._add(key, None, start, stop, known=True)
+                    entry.update(
+                        settled=True,
+                        end_known=key in piece.machine_wear,
+                        end=piece.machine_wear.get(key),
+                        done=piece,
+                        started=stop - start,
+                    )
+                    continue
+                resume_doc = None
+                base = None
+                resumed = False
+                if resume is not None and cursor >= start:
+                    # The resume frontier lands in this slice: carry its
+                    # rows and mid-slice wear (cursor > start), or --
+                    # exactly on the boundary -- just the wear, which
+                    # the split handed to the predecessor piece.
+                    resumed = cursor > 0
+                    if cursor > start:
+                        piece = split_checkpoint(
+                            resume, key, plan=plan, span=(start, stop)
+                        )
+                        piece.complete = False
+                        resume_doc = checkpoint_to_dict(piece)
+                    elif cursor > 0:
+                        base = resume.machine_wear.get(key)
+                    known = True
+                else:
+                    # Beyond the frontier (or a cold start): slice 0
+                    # boots fresh; later slices wait for their
+                    # predecessor's end wear unless the atlas ventures
+                    # a speculative seam.
+                    if atlas is not None:
+                        base = atlas.seam(key, plan, config.cap, start)
+                    known = index == 0 or base is not None
+                tag = shard_tag(key, index)
+                spec = dict(
+                    common,
+                    variant=key,
+                    tag=tag,
+                    shard_path=str(shard_path(shard_base, tag)),
+                    resume=resume_doc,
+                    shard={
+                        "variant": key,
+                        "index": index,
+                        "start": start,
+                        "stop": stop,
+                        "resumed": resumed,
+                        "base_wear": base,
+                    },
+                )
+                self._add(key, spec, start, stop, known)
+
+    def _add(
+        self,
+        variant: str,
+        spec: dict | None,
+        start: int,
+        stop: int,
+        known: bool,
+    ) -> dict:
+        """Append a slice entry to the variant's chain.  A spec with an
+        unknown base stays unschedulable until its predecessor settles
+        and hands it its end wear."""
+        entry = {
+            "spec": spec,
+            "start": start,
+            "stop": stop,
+            "known": known,
+            "settled": False,
+            "end_known": False,
+            "end": None,
+            "done": None,
+            "started": 0,
+        }
+        self._chains.setdefault(variant, []).append(entry)
+        if spec is not None:
+            self.specs.append(spec)
+            self._by_tag[spec["tag"]] = entry
+        return entry
+
+    def __contains__(self, tag: str) -> bool:
+        return tag in self._by_tag
 
     def fingerprint(self, wear: dict | None) -> str:
         """:func:`wear_fingerprint`, memoized per wear image object."""
@@ -449,77 +604,47 @@ class _SeamPlanner:
             hit = self._fingerprints[id(wear)] = (wear, wear_fingerprint(wear))
         return hit[1]
 
-    def add_settled(
-        self,
-        variant: str,
-        start: int,
-        stop: int,
-        end_known: bool,
-        end_wear: dict | None,
-    ) -> None:
-        """A slice completed by a previous run (resume prefix): settled
-        up front, no worker.  ``end_known`` is False when the resume
-        document's wear frontier lies beyond this slice -- harmless,
-        because every successor up to that frontier is itself settled or
-        resumed and never consults this end."""
-        self._chains.setdefault(variant, []).append(
-            {
-                "tag": None,
-                "spec": None,
-                "start": start,
-                "stop": stop,
-                "settled": True,
-                "end_known": end_known,
-                "end": end_wear,
-                "done": None,
-            }
-        )
-
-    def add_spec(self, spec: dict, base_known: bool) -> None:
-        """Register a worker spec (in plan order per variant).  Specs
-        with an unknown base stay unschedulable until a predecessor
-        settles and hands them its end wear."""
-        entry = {
-            "tag": spec["tag"],
-            "spec": spec,
-            "start": spec["shard"]["start"],
-            "stop": spec["shard"]["stop"],
-            "settled": False,
-            "end_known": False,
-            "end": None,
-            "done": None,
-            "known": base_known,
-        }
-        self._chains.setdefault(spec["variant"], []).append(entry)
-        self._by_tag[spec["tag"]] = entry
-
-    def ready(self, tag: str) -> bool:
-        """Whether the slice's execution base is known (authoritative or
-        speculative) so its worker may spawn."""
-        entry = self._by_tag.get(tag)
-        return entry is None or entry["known"]
+    def runnable(self) -> list[dict]:
+        """The specs that may run now: unfinished, with a known base
+        (authoritative or speculative)."""
+        return [
+            entry["spec"]
+            for entry in self._by_tag.values()
+            if entry["done"] is None and entry["known"]
+        ]
 
     def mark_spawned(self, tag: str) -> None:
         self._spawned.add(tag)
 
-    def learned(self) -> dict[str, dict[int, dict]]:
-        """Settled seam wears keyed by plan position, for the atlas."""
-        return self._learned
+    def progress(self, tag: str, position: int) -> tuple[str, int, int]:
+        """A worker's progress at plan ``position`` as its variant's
+        aggregate: ``(variant, plan positions started across the
+        variant's slices, plan length)``."""
+        entry = self._by_tag[tag]
+        entry["started"] = position - entry["start"] + 1
+        variant = entry["spec"]["variant"]
+        started = sum(item["started"] for item in self._chains[variant])
+        return variant, started, len(self.plans[variant])
 
-    def on_done(
-        self, tag: str, checkpoint: CampaignCheckpoint
-    ) -> tuple[list[tuple[str, CampaignCheckpoint]], list[dict]]:
-        """Absorb a finished slice and run the settlement cascade.
+    def pieces(self) -> list[CampaignCheckpoint]:
+        """Every settled slice's final checkpoint, in variant then plan
+        order: the input of the run's merge."""
+        return [
+            entry["done"]
+            for chain in self._chains.values()
+            for entry in chain
+            if entry["settled"]
+        ]
 
-        Returns ``(accepted, replays)``: slices newly settled (tag plus
-        their final checkpoint, ready for the merge) and specs whose
-        speculative base proved stale (rebased, to be re-queued).
-        """
+    def on_done(self, tag: str, checkpoint: CampaignCheckpoint) -> list[dict]:
+        """Absorb a finished slice and run the settlement cascade;
+        returns the specs whose speculative base proved stale (rebased,
+        to be run again)."""
         entry = self._by_tag[tag]
         entry["done"] = checkpoint
         variant = entry["spec"]["variant"]
         chain = self._chains[variant]
-        accepted: list[tuple[str, CampaignCheckpoint]] = []
+        plan = self.plans[variant]
         replays: list[dict] = []
         prev_known, prev_end = True, None  # plan position 0: fresh boot
         for item in chain:
@@ -545,11 +670,19 @@ class _SeamPlanner:
                     item["end"] = prev_end
                 else:  # pragma: no cover - resumed slice, wear unknown
                     item["end_known"] = False
-                if item["end_known"] and item["end"] is not None:
-                    self._learned.setdefault(variant, {})[item["stop"]] = item[
-                        "end"
-                    ]
-                accepted.append((item["tag"], done))
+                if (
+                    self.atlas is not None
+                    and item["end_known"]
+                    and item["end"] is not None
+                    and 0 < item["stop"] < len(plan)
+                ):
+                    self.atlas.record(
+                        variant,
+                        plan,
+                        self.config.cap,
+                        item["stop"],
+                        item["end"],
+                    )
                 self._push_base(chain, item)
                 prev_known, prev_end = item["end_known"], item["end"]
             else:
@@ -563,11 +696,10 @@ class _SeamPlanner:
                 )
                 spec["resume"] = None
                 item["known"] = True
-                self._spawned.discard(item["tag"])
-                self.replays += 1
+                self._spawned.discard(spec["tag"])
                 replays.append(spec)
                 break
-        return accepted, replays
+        return replays
 
     def _push_base(self, chain: list[dict], item: dict) -> None:
         """Hand a freshly settled slice's end wear to its successor as
@@ -582,7 +714,7 @@ class _SeamPlanner:
         if (
             spec is None
             or successor["settled"]
-            or successor["tag"] in self._spawned
+            or spec["tag"] in self._spawned
             or spec["shard"].get("resumed")
         ):
             return
@@ -619,7 +751,7 @@ class ParallelCampaign:
         is no longer capped at the variant count.  Slices of one variant
         share a simulated machine, so each runs from the exact serial
         wear at its first plan position -- learned from its predecessor
-        (cold) or a wear atlas (warm); see :class:`_SeamPlanner`.
+        (cold) or a wear atlas (warm); see :class:`SlicePlanner`.
     :param atlas_path: optional wear-atlas file (see
         :mod:`repro.core.atlas`).  Read for speculative slice bases at
         startup, updated with settled seams after a successful run.
@@ -662,14 +794,6 @@ class ParallelCampaign:
         self.supervision_log: list[dict] = []
         #: The combined checkpoint the log is persisted onto mid-run.
         self._live_checkpoint_path: str | pathlib.Path | None = None
-        #: Settlement planner for the current sharded run (None when
-        #: shards == 1 or between runs).
-        self._planner: _SeamPlanner | None = None
-        #: Per-variant plan identities of the current sharded run.
-        self._plans: dict[str, list] = {}
-        #: Progress aggregation state: shard progress collapses into one
-        #: per-variant line (see :meth:`_forward_progress`).
-        self._progress_ctx: dict | None = None
 
     # ------------------------------------------------------------------
 
@@ -739,41 +863,48 @@ class ParallelCampaign:
             tempdir = tempfile.mkdtemp(prefix="ballista-supervised-")
             shard_base = os.path.join(tempdir, "campaign.ckpt")
         deadline = self.policy.mut_deadline
-        common = {
-            "muts": self._muts,
-            "config": config_spec_fields(self.config),
-            "checkpoint_every": checkpoint_every,
-            # Beacons must be several times faster than the deadline
-            # that judges them.
-            "heartbeat_interval": (
-                1.0
-                if deadline is None
-                else max(0.01, min(1.0, deadline / 5.0))
-            ),
-            "events": recorder is not None,
-        }
+        # Seams exist only between slices: one slice per variant has none
+        # to predict or learn.
+        atlas = (
+            load_atlas(self.atlas_path)
+            if self.atlas_path is not None and self.shards > 1
+            else None
+        )
         self._live_checkpoint_path = checkpoint_path
         pool = WorkerPool(self.jobs)
         try:
-            if self.shards > 1:
-                specs, synthetic = self._build_shard_specs(
-                    resume, shard_base, common
-                )
-            else:
-                specs = self._build_specs(resume, shard_base, common)
-                synthetic = []
-            shards = self._run_workers(pool, specs, progress, recorder)
-            planner = self._planner
+            planner = SlicePlanner(
+                self.variants,
+                self.config,
+                self._muts,
+                self.shards,
+                shard_base,
+                {
+                    "checkpoint_every": checkpoint_every,
+                    # Beacons must be several times faster than the
+                    # deadline that judges them.
+                    "heartbeat_interval": (
+                        1.0
+                        if deadline is None
+                        else max(0.01, min(1.0, deadline / 5.0))
+                    ),
+                    "events": recorder is not None,
+                },
+                resume=resume,
+                atlas=atlas,
+            )
+            self._run_workers(pool, planner, progress, recorder)
             merged = merge_checkpoints(
-                synthetic + [shards[spec["tag"]] for spec in specs],
+                planner.pieces(),
                 cap=self.config.cap,
                 variants=keys,
-                fingerprint=(
-                    wear_fingerprint if planner is None else planner.fingerprint
-                ),
+                fingerprint=planner.fingerprint,
             )
             merged.complete = True
-            self._save_atlas_seams()
+            if atlas is not None:
+                # Memoize the settled seams, so the next identical run
+                # launches every slice warm.
+                save_atlas(atlas, self.atlas_path)
             self.last_checkpoint = merged
             if checkpoint_path is not None:
                 save_checkpoint(merged, checkpoint_path)
@@ -785,16 +916,13 @@ class ParallelCampaign:
                             len(merged.results),
                         )
                     )
-            for spec in specs:
+            for spec in planner.specs:
                 try:
                     os.remove(spec["shard_path"])
                 except OSError:  # pragma: no cover - already gone
                     pass
         finally:
             pool.close()
-            self._planner = None
-            self._progress_ctx = None
-            self._plans = {}
             self._live_checkpoint_path = None
             if tempdir is not None:
                 shutil.rmtree(tempdir, ignore_errors=True)
@@ -805,190 +933,6 @@ class ParallelCampaign:
         return merged.results
 
     # ------------------------------------------------------------------
-
-    def _build_specs(
-        self,
-        resume: CampaignCheckpoint | None,
-        shard_base: str | pathlib.Path,
-        common: dict,
-    ) -> list[dict]:
-        """One worker spec per variant: ``common`` fields plus its tag
-        (the variant key), shard path and slice of ``resume``."""
-        specs = []
-        for personality in self.variants:
-            key = personality.key
-            resume_doc = None
-            if resume is not None:
-                shard = split_checkpoint(resume, key)
-                shard.complete = False
-                resume_doc = checkpoint_to_dict(shard)
-            specs.append(
-                dict(
-                    common,
-                    variant=key,
-                    tag=key,
-                    shard_path=str(shard_path(shard_base, key)),
-                    resume=resume_doc,
-                )
-            )
-        return specs
-
-    def _build_shard_specs(
-        self,
-        resume: CampaignCheckpoint | None,
-        shard_base: str | pathlib.Path,
-        common: dict,
-    ) -> tuple[list[dict], list[CampaignCheckpoint]]:
-        """Cut each variant's plan into ``self.shards`` contiguous
-        slices and build one worker spec (``common`` fields plus the
-        slice's own) per incomplete slice.
-
-        Returns ``(specs, synthetic)``: the specs to schedule plus
-        pre-settled checkpoint pieces for slices a resume document
-        already completed (they go straight to the merge, no worker).
-        Also primes the run's :class:`_SeamPlanner` and the per-variant
-        progress aggregation state.
-        """
-        atlas = (
-            load_atlas(self.atlas_path) if self.atlas_path is not None else None
-        )
-        planner = _SeamPlanner()
-        specs: list[dict] = []
-        synthetic: list[CampaignCheckpoint] = []
-        spans: dict[str, tuple[int, int]] = {}
-        totals: dict[str, int] = {}
-        counts: dict[str, dict[str, int]] = {}
-        self._plans = {}
-        for personality in self.variants:
-            key = personality.key
-            plan = plan_identities(personality, self.config, self._muts)
-            self._plans[key] = plan
-            totals[key] = len(plan)
-            cursor = resume.cursors.get(key, 0) if resume is not None else 0
-            for index, (start, stop) in enumerate(
-                shard_bounds(len(plan), self.shards)
-            ):
-                tag = shard_tag(key, index)
-                if resume is not None and cursor >= stop:
-                    # Completed by the interrupted run: a settled,
-                    # workerless piece.  Its end wear is known exactly
-                    # when the resume document's wear frontier lies in
-                    # this slice (cursor == stop); earlier pieces'
-                    # successors are themselves settled or resumed and
-                    # never consult it.
-                    piece = split_checkpoint(
-                        resume, key, plan=plan, span=(start, stop)
-                    )
-                    piece.shard = {
-                        "variant": key,
-                        "index": index,
-                        "start": start,
-                        "stop": stop,
-                        "resumed": True,
-                        "base_wear": None,
-                    }
-                    synthetic.append(piece)
-                    planner.add_settled(
-                        key,
-                        start,
-                        stop,
-                        end_known=key in piece.machine_wear,
-                        end_wear=piece.machine_wear.get(key),
-                    )
-                    counts.setdefault(key, {})["resumed"] = (
-                        counts.get(key, {}).get("resumed", 0) + (stop - start)
-                    )
-                    continue
-                resume_doc = None
-                base = None
-                resumed = False
-                if resume is not None and cursor >= start:
-                    # The resume frontier lands in this slice: carry its
-                    # rows and mid-slice wear (cursor > start), or --
-                    # exactly on the boundary -- just the wear, which
-                    # the split handed to the predecessor piece.
-                    resumed = cursor > 0
-                    if cursor > start:
-                        piece = split_checkpoint(
-                            resume, key, plan=plan, span=(start, stop)
-                        )
-                        piece.complete = False
-                        resume_doc = checkpoint_to_dict(piece)
-                    elif cursor > 0:
-                        base = resume.machine_wear.get(key)
-                    known = True
-                else:
-                    # Beyond the frontier (or a cold start): slice 0
-                    # boots fresh; later slices wait for their
-                    # predecessor's end wear unless the atlas ventures
-                    # a speculative seam.
-                    if atlas is not None:
-                        base = atlas.seam(key, plan, self.config.cap, start)
-                    known = index == 0 or base is not None
-                spec = dict(
-                    common,
-                    variant=key,
-                    tag=tag,
-                    shard_path=str(shard_path(shard_base, tag)),
-                    resume=resume_doc,
-                    shard={
-                        "variant": key,
-                        "index": index,
-                        "start": start,
-                        "stop": stop,
-                        "resumed": resumed,
-                        "base_wear": base,
-                    },
-                )
-                specs.append(spec)
-                planner.add_spec(spec, known)
-                spans[tag] = (start, stop)
-        self._planner = planner
-        self._progress_ctx = {
-            "spans": spans,
-            "totals": totals,
-            "counts": counts,
-        }
-        return specs, synthetic
-
-    def _save_atlas_seams(self) -> None:
-        """After a successful sharded run, memoize the settled seam
-        wears so the next identical run launches every slice warm."""
-        planner = self._planner
-        if planner is None or self.atlas_path is None:
-            return
-        atlas = load_atlas(self.atlas_path)
-        for variant, table in planner.learned().items():
-            plan = self._plans.get(variant, [])
-            for position, wear in table.items():
-                if 0 < position < len(plan):
-                    atlas.record(
-                        variant, plan, self.config.cap, position, wear
-                    )
-        save_atlas(atlas, self.atlas_path)
-
-    def _absorb_done(
-        self,
-        key: str,
-        checkpoint: CampaignCheckpoint,
-        shards: dict[str, CampaignCheckpoint],
-        pending: list[dict],
-        recorder: Recorder | None,
-    ) -> None:
-        """Fold a finished worker's checkpoint into the run: directly
-        (per-variant workers) or via the seam planner's settlement
-        cascade (sharded), which may re-queue stale speculative slices."""
-        planner = self._planner
-        if planner is None:
-            shards[key] = checkpoint
-            return
-        accepted, replays = planner.on_done(key, checkpoint)
-        for tag, settled in accepted:
-            shards[tag] = settled
-        for spec in replays:
-            shards.pop(spec["tag"], None)
-            self._note_replay(spec, recorder)
-            pending.append(spec)
 
     def _note_replay(self, spec: dict, recorder: Recorder | None) -> None:
         """Replays are settlement corrections, not faults: they ride the
@@ -1020,7 +964,10 @@ class ParallelCampaign:
             save_checkpoint(live, path)
 
     def _forward_progress(
-        self, progress: ProgressFn | None, message: tuple
+        self,
+        planner: SlicePlanner,
+        progress: ProgressFn | None,
+        message: tuple,
     ) -> None:
         """Relay a worker progress event.  Sharded runs collapse the
         per-slice streams into one aggregate line per variant (completed
@@ -1029,20 +976,9 @@ class ParallelCampaign:
         past terminal height at high ``--shards``."""
         if progress is None:
             return
-        _, tag, mut, position, total = message
-        ctx = self._progress_ctx
-        if ctx is None:
-            progress(tag, mut, position, total)
-            return
-        variant = tag.partition("#")[0]
-        span = ctx["spans"].get(tag)
-        if span is None:  # pragma: no cover - untagged message
-            progress(variant, mut, position, total)
-            return
-        counts = ctx["counts"].setdefault(variant, {})
-        counts[tag] = position - span[0] + 1
-        started = sum(counts.values())
-        progress(variant, mut, started - 1, ctx["totals"][variant])
+        _, tag, mut, position, _total = message
+        variant, started, total = planner.progress(tag, position)
+        progress(variant, mut, started - 1, total)
 
     def _pump_timeout(self) -> float:
         """Pipe poll interval.  Floored at 50 ms: a tight MuT deadline
@@ -1057,18 +993,15 @@ class ParallelCampaign:
     def _run_workers(
         self,
         pool: WorkerPool,
-        specs: list[dict],
+        planner: SlicePlanner,
         progress: ProgressFn | None,
         recorder: Recorder | None = None,
-    ) -> dict[str, CampaignCheckpoint]:
-        """Run the specs on at most ``self.jobs`` pooled workers, pump
-        their messages, and collect one finished shard per spec tag; a
-        :class:`Supervisor` under :attr:`policy` heals every death."""
+    ) -> None:
+        """Run the planner's runnable specs on at most ``self.jobs``
+        pooled workers and pump their messages until none is left to
+        run; a :class:`Supervisor` under :attr:`policy` heals every
+        death."""
         policy = self.policy
-        planner = self._planner
-        spec_by_key = {spec["tag"]: spec for spec in specs}
-        pending = list(specs)
-        shards: dict[str, CampaignCheckpoint] = {}
         errors: dict[str, str] = {}
         last_seen: dict[str, float] = {}
 
@@ -1079,38 +1012,38 @@ class ParallelCampaign:
         supervisor = Supervisor(policy, emit, log=self._log)
 
         def settle(key: str, reason: str | None) -> None:
-            """Queue a dead worker's spec again, or give up on it."""
-            if reason is None:
-                pending.append(spec_by_key[key])
-            else:
+            """A dead worker's spec runs again, unless given up on."""
+            if reason is not None:
                 errors[key] = reason
 
-        def runnable(spec: dict) -> bool:
-            """Not given up on, and (sharded) its slice base is known."""
-            key = spec["tag"]
-            return key not in errors and (
-                planner is None or planner.ready(key)
-            )
-
-        while pending or len(pool):
-            if not len(pool) and pending and not errors:
-                # Nothing alive to produce events: sleep out the
-                # earliest backoff instead of spinning on the pipes.
-                wait = min(
-                    supervisor.due.get(s["tag"], 0.0) for s in pending
-                ) - policy.clock()
-                if wait > 0:
-                    time.sleep(min(wait, 0.05))
+        while True:
+            pending = [
+                spec
+                for spec in planner.runnable()
+                if spec["tag"] not in pool and spec["tag"] not in errors
+            ]
+            if not len(pool):
+                if not pending:
+                    # Nothing runs and nothing left can: every slice
+                    # settled, or the rest were given up on or wait on a
+                    # slice that was.
+                    break
+                if not errors:
+                    # Nothing alive to produce events: sleep out the
+                    # earliest backoff instead of spinning on the pipes.
+                    wait = min(
+                        supervisor.due.get(s["tag"], 0.0) for s in pending
+                    ) - policy.clock()
+                    if wait > 0:
+                        time.sleep(min(wait, 0.05))
             now = policy.clock()
-            for spec in list(pending):
+            for spec in pending:
                 if pool.full():
                     break
                 key = spec["tag"]
-                if supervisor.due.get(key, 0.0) > now or not runnable(spec):
+                if supervisor.due.get(key, 0.0) > now:
                     continue
-                pending.remove(spec)
-                if planner is not None:
-                    planner.mark_spawned(key)
+                planner.mark_spawned(key)
                 spec["quarantine"] = supervisor.verdicts.get(key, {})
                 pid = pool.run(key, spec)
                 last_seen[key] = policy.clock()
@@ -1119,10 +1052,6 @@ class ParallelCampaign:
                         key, pid, supervisor.restarts.get(key, 0) + 1
                     )
                 )
-            if not len(pool) and not any(map(runnable, pending)):
-                # Nothing runs and nothing left can: the rest were given
-                # up on, or wait on a slice that was.
-                break
             message = None
             try:
                 message = pool.get(timeout=self._pump_timeout())
@@ -1132,7 +1061,7 @@ class ParallelCampaign:
                 kind, key = message[0], message[1]
                 last_seen[key] = policy.clock()
                 if kind == "progress":
-                    self._forward_progress(progress, message)
+                    self._forward_progress(planner, progress, message)
                 elif kind == "heartbeat":
                     supervisor.inflight[key] = (message[2], message[3])
                 elif kind == "obs":
@@ -1142,18 +1071,10 @@ class ParallelCampaign:
                     supervisor.inflight.pop(key, None)
                     pool.release(key)
                     emit(obs_events.WorkerFinished(key))
-                    # A watchdog race can park a respawn for a variant
-                    # that actually finished: cancel it (before the
-                    # settlement cascade, which may legitimately
-                    # re-queue this very slice as a replay).
-                    pending[:] = [s for s in pending if s["tag"] != key]
-                    self._absorb_done(
-                        key,
-                        checkpoint_from_dict(message[2]),
-                        shards,
-                        pending,
-                        recorder,
-                    )
+                    for spec in planner.on_done(
+                        key, checkpoint_from_dict(message[2])
+                    ):
+                        self._note_replay(spec, recorder)
                 elif key in pool:
                     # "error" from the running spec; one sent before its
                     # worker was killed or reaped is moot.
@@ -1189,7 +1110,6 @@ class ParallelCampaign:
             raise RuntimeError(
                 f"parallel campaign gave up on {sorted(errors)}:\n{detail}"
             )
-        return shards
 
 
 #: The runner's former name, from when supervision was an opt-in

@@ -1,8 +1,12 @@
 """Durable job queue for the multi-tenant campaign service.
 
-Clients submit campaign specs; the service leases per-variant shards to
-workers and marks them done as checkpoints land.  Everything that must
-survive a crash or a SIGTERM drain lives here, in one directory:
+Clients submit campaign specs; the service leases each job's shard
+tokens (a bare variant, or ``variant#k`` for an intra-variant slice) to
+workers and marks them done here as they finish.  The queue only
+records which tokens are done: which slices may run, and from what base
+wear, is the job's :class:`~repro.core.parallel.SlicePlanner`'s to say.
+Everything that must survive a crash or a SIGTERM drain lives here, in
+one directory:
 
 * ``queue.json`` -- a compacted snapshot of every job record, written
   atomically (temp + rename, the :mod:`repro.core.results_io`
@@ -12,15 +16,16 @@ survive a crash or a SIGTERM drain lives here, in one directory:
   ``job_failed``).  Loading replays the journal over the snapshot; a
   torn final line (the process died mid-append) is tolerated and
   dropped, exactly like :func:`repro.obs.recorder.read_events`.
-* ``jobs/<job_id>/`` -- per-job artifacts: one ``<variant>.shard``
-  checkpoint per leased shard (the restart-from-checkpoint documents
-  the workers maintain) and, once every shard completes, the merged
+* ``jobs/<job_id>/`` -- per-job artifacts: one ``campaign.ckpt.<token>.shard``
+  checkpoint per leased token (the restart-from-checkpoint documents
+  the workers maintain) and, once every token completes, the merged
   ``results.json`` saved via :func:`repro.core.results_io.save_results`
   -- byte-identical to the same campaign run serially.
 
 Lease state is deliberately *not* durable: leases die with the service
-process, so a restarted service sees every non-done shard as pending
-and re-leases it, resuming from the shard checkpoint on disk.
+process, so a restarted service rebuilds each in-flight job's plan
+(settling its done slices from their checkpoints) and re-leases every
+token that is not done, resuming from the shard checkpoint on disk.
 
 Submission is idempotent on ``(tenant, job_key)``: a client that
 retransmits SUBMIT over a lossy link (or reconnects and resubmits) gets
@@ -353,38 +358,6 @@ class JobQueue:
                 self._jobs[job_id]
                 for job_id in sorted(self._jobs, key=_seq_of)
             ]
-
-    def pending_shards(self) -> list[tuple[str, str]]:
-        """``(job_id, token)`` shards not yet done *and currently
-        runnable*, for jobs still in flight, in submission order then
-        spec variant order then slice order.  The lease manager decides
-        which of these are currently claimable.
-
-        Tokens are bare variant keys for unsharded jobs, ``variant#k``
-        for sharded ones.  A sharded slice is runnable only once its
-        predecessor slice is done: slices of one variant share a
-        simulated machine, and slice k+1 must boot from slice k's exact
-        end wear (read from slice k's checkpoint on disk), so the
-        service runs each variant's slices as a chain while different
-        variants' chains fill the worker pool."""
-        out: list[tuple[str, str]] = []
-        with self._lock:
-            for job_id in sorted(self._jobs, key=_seq_of):
-                record = self._jobs[job_id]
-                if record.state in (JOB_DONE, JOB_FAILED):
-                    continue
-                for variant in record.spec.variants:
-                    tokens = record.spec.shard_tokens(variant)
-                    for index, token in enumerate(tokens):
-                        if token in record.shards_done:
-                            continue
-                        if (
-                            index == 0
-                            or tokens[index - 1] in record.shards_done
-                        ):
-                            out.append((job_id, token))
-                        break  # later slices wait on this one
-        return out
 
     def mark_running(self, job_id: str) -> None:
         """In-memory only: lease state is not durable."""

@@ -38,14 +38,16 @@ import socket
 import threading
 import time
 
+from repro.core.campaign import CampaignConfig, plan_identities
 from repro.core.generator import CaseGenerator
 from repro.core.mut import MuTRegistry, default_registry
-from repro.core.parallel import shard_bounds
+from repro.core.parallel import SlicePlanner, personality_by_key
 from repro.core.pool import WorkerPool
 from repro.core.results import ResultSet
 from repro.core.results_io import (
     FORMAT_VERSION,
     ResultFormatError,
+    checkpoint_from_dict,
     load_checkpoint,
     merge_checkpoints,
     results_from_dict,
@@ -224,7 +226,7 @@ class BallistaServer:
         cross the spawn boundary.  Completed variants are marked so
         :meth:`join` returns immediately for them.
         """
-        from repro.core.campaign import Campaign, CampaignConfig
+        from repro.core.campaign import Campaign
         from repro.core.mut import default_registry
         from repro.core.parallel import ParallelCampaign
         from repro.core.types import default_types
@@ -431,6 +433,14 @@ class CampaignService:
     :mod:`repro.service.queue`), so a SIGTERMed or crashed service picks
     its campaigns back up on restart.
 
+    Each in-flight job has one :class:`~repro.core.parallel.SlicePlanner`
+    -- the parallel runner's -- built at the job's first grant pass
+    (and rebuilt after a restart, its done slices settled from their
+    checkpoint files).  The plan supplies the worker specs, says which
+    slices may run, and takes each ``done`` message's final checkpoint,
+    so a slice's successor gets its base wear from memory and the job
+    finalises by merging the settled checkpoints.
+
     :param data_dir: queue/checkpoint/result directory.
     :param max_workers: concurrent worker processes across all tenants
         (the size of the service's one worker pool; workers start on
@@ -453,7 +463,6 @@ class CampaignService:
         data_dir,
         max_workers: int = 2,
         lease_s: float = 10.0,
-        spawn_grace: float | None = None,
         max_attempts: int = 5,
         recorder=None,
     ) -> None:
@@ -472,10 +481,7 @@ class CampaignService:
         self.lease_s = lease_s
         self.max_attempts = max_attempts
         self.recorder = recorder
-        kwargs = {} if spawn_grace is None else {"spawn_grace": spawn_grace}
-        self.leases = LeaseManager(
-            lease_s=lease_s, recorder=recorder, **kwargs
-        )
+        self.leases = LeaseManager(lease_s=lease_s, recorder=recorder)
         self._lock = threading.RLock()
         #: Workers keyed by spec tag ``"job/token"``; the token is the
         #: bare variant for unsharded jobs, ``variant#k`` for slices.
@@ -484,7 +490,9 @@ class CampaignService:
         self._progress: dict[tuple[str, str], dict] = {}
         #: (job_id, token) -> (mtime_ns, size, (rows, quarantine records)).
         self._row_cache: dict[tuple[str, str], tuple[int, int, tuple]] = {}
-        self._plan_cache: dict[tuple[str, tuple[str, ...] | None], list] = {}
+        #: job_id -> the slice plan of each in-flight job (scheduler
+        #: thread only).
+        self._plans: dict[str, SlicePlanner] = {}
         self._selector = selectors.DefaultSelector()
         self._listener: socket.socket | None = None
         self._conns: dict[int, _ServiceConnection] = {}
@@ -826,44 +834,13 @@ class CampaignService:
     # Plan-ordered row pages
     # ------------------------------------------------------------------
 
-    def _plan_keys(self, variant: str, muts: tuple[str, ...] | None) -> list:
-        """``"api:mut"`` keys in deterministic plan order for one shard.
-
-        Checkpoint rows serialise *sorted by key*, not in execution
-        order; re-sorting them by plan position recovers an append-only
-        sequence (a checkpoint always holds a prefix of the plan, since
-        shards checkpoint only at MuT boundaries) -- which is what makes
-        FETCH cursors stable across retransmission, reconnection, and
-        even a shard's reassignment to a new worker."""
-        cache_key = (variant, muts)
-        # Reached from both service threads: the network thread pages
-        # FETCH rows while the scheduler builds worker specs.  The
-        # cache dict must not be mutated unlocked from either side
-        # (RLock, so the already-locked scheduler path just re-enters).
-        with self._lock:
-            cached = self._plan_cache.get(cache_key)
-            if cached is not None:
-                return cached
-            from repro import ALL_VARIANTS
-            from repro.core.campaign import CampaignConfig, plan_identities
-
-            personality = next(p for p in ALL_VARIANTS if p.key == variant)
-            keys = [
-                f"{api}:{name}"
-                for api, name in plan_identities(
-                    personality, CampaignConfig(), muts
-                )
-            ]
-            self._plan_cache[cache_key] = keys
-            return keys
-
     def _shard_rows(self, record: JobRecord, variant: str) -> tuple:
         """The variant's rows in plan order across its slice checkpoints,
-        and its quarantine records.  Slices run chained (slice k+1 is
-        only leased after slice k is done) and cover contiguous plan
-        spans, so per-slice rows in slice order are the full plan order
-        and grow append-only -- FETCH cursors stay stable across polls,
-        reconnection, and worker reassignment."""
+        and its quarantine records.  Slices run chained (the plan hands
+        slice k+1 the settled end wear of slice k) and cover contiguous
+        plan spans, so per-slice rows in slice order are the full plan
+        order and grow append-only -- FETCH cursors stay stable across
+        polls, reconnection, and worker reassignment."""
         rows: list = []
         quarantined: list = []
         for token in record.spec.shard_tokens(variant):
@@ -876,7 +853,12 @@ class CampaignService:
         self, record: JobRecord, variant: str, token: str
     ) -> tuple[list, list]:
         """One slice's rows in plan order and its quarantine records,
-        from its checkpoint file on disk (cached by mtime+size)."""
+        from its checkpoint file on disk (cached by mtime+size).
+
+        Checkpoint rows serialise *sorted by key*, not in execution
+        order; re-sorting them by plan position recovers an append-only
+        sequence (a checkpoint always holds a prefix of its slice, since
+        workers checkpoint only at MuT boundaries)."""
         shard = (record.job_id, token)
         path = self.queue.shard_file(record.job_id, token)
         try:
@@ -894,12 +876,17 @@ class CampaignService:
             return cached[2] if cached is not None else ([], [])
         document = results_to_dict(checkpoint.results)
         by_key = {
-            f"{row['api']}:{row['mut']}": row
+            (row["api"], row["mut"]): row
             for row in document["results"]
             if row["variant"] == variant
         }
-        keys = self._plan_keys(variant, record.spec.muts)
-        rows = [by_key[key] for key in keys if key in by_key]
+        # Under the lock: the scheduler thread builds plans too, and the
+        # default registry's first build must not run on both at once.
+        with self._lock:
+            plan = plan_identities(
+                personality_by_key(variant), CampaignConfig(), record.spec.muts
+            )
+        rows = [by_key[key] for key in plan if key in by_key]
         quarantined = document.get("quarantined", [])
         entry = (rows, [q for q in quarantined if q["variant"] == variant])
         self._row_cache[shard] = (stat.st_mtime_ns, stat.st_size, entry)
@@ -970,6 +957,10 @@ class CampaignService:
             self._pool.release(tag)
             self._progress.pop(shard, None)
             self._supervisor.forget(tag)
+            plan = self._plans.get(job_id)
+            if plan is None:
+                return  # its job already failed or finished
+            plan.on_done(token, checkpoint_from_dict(message[2]))
             if self.queue.mark_shard_done(job_id, token):
                 self._finalize_job(job_id)
         elif tag in self._pool:
@@ -1017,104 +1008,89 @@ class CampaignService:
         if self._draining.is_set():
             return
         now = self._supervisor.policy.clock()
-        for job_id, token in self.queue.pending_shards():
-            if self._pool.full():
-                return
-            variant, index = split_token(token)
-            tag = f"{job_id}/{token}"
-            if tag in self._pool or self._supervisor.due.get(tag, 0.0) > now:
-                continue  # running, or backing off after a death
-            if self.leases.holder(job_id, variant, index) is not None:
-                continue  # pragma: no cover - lease without worker
-            record = self.queue.get(job_id)
-            if record is None or record.state in (JOB_DONE, JOB_FAILED):
+        for record in self.queue.jobs():
+            if record.state in (JOB_DONE, JOB_FAILED):
                 continue
-            try:
-                spec = self._worker_spec(record, token)
-            except (OSError, ResultFormatError) as exc:
-                # The predecessor slice's checkpoint must supply this
-                # slice's base wear; without it the slice cannot run
-                # byte-identically, so the job fails loudly instead of
-                # guessing.
-                self._fail_job(
-                    job_id,
-                    f"shard {token} has no usable base wear: {exc}",
+            plan = self._plans.get(record.job_id) or self._plan_job(record)
+            if plan is None:
+                continue  # failed, or finalised from its slices' files
+            for spec in plan.runnable():
+                if self._pool.full():
+                    return
+                token = spec["tag"]
+                tag = f"{record.job_id}/{token}"
+                due = self._supervisor.due.get(tag, 0.0)
+                if tag in self._pool or due > now:
+                    continue  # running, or backing off after a death
+                variant, index = split_token(token)
+                try:
+                    lease = self.leases.grant(record.job_id, variant, index)
+                except LeaseError:  # pragma: no cover - lease without worker
+                    continue
+                plan.mark_spawned(token)
+                spec = dict(
+                    spec,
+                    tag=tag,
+                    quarantine=self._supervisor.verdicts.get(tag, {}),
                 )
-                continue
-            try:
-                lease = self.leases.grant(job_id, variant, index)
-            except LeaseError:  # pragma: no cover - guarded above
-                continue
-            pid = self._pool.run(tag, spec)
-            self.queue.mark_running(job_id)
-            self._emit(obs_events.WorkerSpawned(token, pid, lease.attempt))
+                pid = self._pool.run(tag, spec)
+                self.queue.mark_running(record.job_id)
+                self._emit(obs_events.WorkerSpawned(token, pid, lease.attempt))
 
-    def _worker_spec(self, record: JobRecord, token: str) -> dict:
-        variant, index = split_token(token)
-        tag = f"{record.job_id}/{token}"
-        spec = {
-            "variant": variant,
-            "tag": tag,
-            "muts": (
-                None if record.spec.muts is None else list(record.spec.muts)
-            ),
-            "config": {"cap": record.spec.cap},
-            "shard_path": str(self.queue.shard_file(record.job_id, token)),
-            "checkpoint_every": record.spec.checkpoint_every,
-            "resume": None,  # the shard file on disk wins anyway
-            "quarantine": self._supervisor.verdicts.get(tag, {}),
-            # Beacons must outpace the lease horizon comfortably.
-            "heartbeat_interval": max(0.01, min(1.0, self.lease_s / 5)),
-            "events": self.recorder is not None,
-        }
-        if record.spec.shards > 1:
-            # Chained slice execution: pending_shards() only yields a
-            # slice once its predecessor is done, so the predecessor's
-            # checkpoint on disk is complete and its end wear is the
-            # byte-exact serial wear at this slice's first case.
-            keys = self._plan_keys(variant, record.spec.muts)
-            bounds = shard_bounds(len(keys), record.spec.shards)
-            if index < len(bounds):
-                start, stop = bounds[index]
-            else:
-                # More slices than plan positions: the surplus slices
-                # are empty (their workers finish instantly) so the
-                # token accounting still closes out.
-                start = stop = len(keys)
-            base_wear = None
-            if index > 0 and start > 0:
-                prev = record.spec.shard_tokens(variant)[index - 1]
-                prev_path = self.queue.shard_file(record.job_id, prev)
-                base_wear = load_checkpoint(prev_path).machine_wear.get(
-                    variant
-                )
-            spec["shard"] = {
-                "variant": variant,
-                "index": index,
-                "start": start,
-                "stop": stop,
-                "resumed": False,
-                "base_wear": base_wear,
-            }
-        return spec
+    def _plan_job(self, record: JobRecord) -> SlicePlanner | None:
+        """Build an in-flight job's slice plan.  Tokens past the plan's
+        slices (more shards than plan positions) close without a lease;
+        slices a previous service finished settle from their checkpoint
+        files, one parse each.  Returns None when the job is no longer
+        in flight: a done slice's file cannot be read, or every slice
+        was done and the job only had to merge."""
+        spec = record.spec
+        plan = SlicePlanner(
+            [personality_by_key(variant) for variant in spec.variants],
+            CampaignConfig(cap=spec.cap),
+            spec.muts,
+            spec.shards,
+            self.queue.job_dir(record.job_id) / "campaign.ckpt",
+            {
+                "checkpoint_every": spec.checkpoint_every,
+                # Beacons must outpace the lease horizon comfortably.
+                "heartbeat_interval": max(0.01, min(1.0, self.lease_s / 5)),
+                "events": self.recorder is not None,
+            },
+        )
+        for token in spec.all_tokens():
+            if token not in plan:
+                self.queue.mark_shard_done(record.job_id, token)
+            elif token in record.shards_done:
+                path = self.queue.shard_file(record.job_id, token)
+                try:
+                    plan.on_done(token, load_checkpoint(path))
+                except (OSError, ResultFormatError) as exc:
+                    self._fail_job(
+                        record.job_id,
+                        f"shard {token} has no usable base wear: {exc}",
+                    )
+                    return None
+        self._plans[record.job_id] = plan
+        if set(spec.all_tokens()) <= record.shards_done:
+            # The previous service died between the last slice and the
+            # merge.
+            self._finalize_job(record.job_id)
+            return None
+        return plan
 
     def _finalize_job(self, job_id: str) -> None:
         record = self.queue.get(job_id)
-        if record is None or record.state in (JOB_DONE, JOB_FAILED):
-            return
-        # Variant order, then slice order within each variant: the
-        # chain-aware merge validates each variant's slice seams and
-        # reassembles the byte-identical serial document.
-        shards = [
-            self.queue.shard_file(job_id, token)
-            for variant in record.spec.variants
-            for token in record.spec.shard_tokens(variant)
-        ]
+        plan = self._plans.pop(job_id)
+        # The planner's settled checkpoints, variant by variant in slice
+        # order: the chain-aware merge validates each variant's seams
+        # and reassembles the byte-identical serial document.
         try:
             merged = merge_checkpoints(
-                shards,
+                plan.pieces(),
                 cap=record.spec.cap,
                 variants=list(record.spec.variants),
+                fingerprint=plan.fingerprint,
             )
             save_results(merged.results, self.queue.results_file(job_id))
         except (OSError, ResultFormatError, ValueError) as exc:
@@ -1127,6 +1103,7 @@ class CampaignService:
 
     def _fail_job(self, job_id: str, why: str) -> None:
         self.queue.mark_job_failed(job_id, why)
+        self._plans.pop(job_id, None)
         self._emit(obs_events.JobFailed(job_id, why))
         for token in self.queue.get(job_id).spec.all_tokens():
             self._supervisor.forget(f"{job_id}/{token}")

@@ -668,7 +668,7 @@ class TestZeroTailWear:
     def test_sharded_run_equals_serial_across_a_tail_seam(
         self, tmp_path, monkeypatch
     ):
-        from repro.core.parallel import ParallelCampaign, _SeamPlanner
+        from repro.core.parallel import ParallelCampaign, SlicePlanner
         from repro.posix.linux import LINUX
 
         config = CampaignConfig(cap=300)
@@ -678,13 +678,13 @@ class TestZeroTailWear:
             checkpoint_path=serial_path
         )
         slices: dict[str, dict] = {}
-        on_done = _SeamPlanner.on_done
+        on_done = SlicePlanner.on_done
 
         def record_slice(self, tag, checkpoint):
             slices[tag] = checkpoint.shard
             return on_done(self, tag, checkpoint)
 
-        monkeypatch.setattr(_SeamPlanner, "on_done", record_slice)
+        monkeypatch.setattr(SlicePlanner, "on_done", record_slice)
         sharded = ParallelCampaign(
             [LINUX], config=config, muts=self.MUTS, jobs=2, shards=2
         ).run(checkpoint_path=sharded_path)

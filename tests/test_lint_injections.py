@@ -292,22 +292,22 @@ def test_propagated_wallclock_is_caught(doctored_src):
 
 
 def test_unlocked_cross_thread_mutation_is_caught(doctored_src):
-    """_readable runs on the selector network thread; _plan_cache is also
-    written from the scheduler thread (under the lock, via _plan_keys).
-    An unlocked mutation from the network side is the exact race class
-    the rule exists for."""
+    """_readable runs on the selector network thread; _progress is also
+    written from the scheduler thread (under the lock, in
+    _handle_message).  An unlocked mutation from the network side is the
+    exact race class the rule exists for."""
     edit(
         doctored_src,
         "service/server.py",
         "    def _readable(self, conn: _ServiceConnection) -> None:\n"
         "        try:",
         "    def _readable(self, conn: _ServiceConnection) -> None:\n"
-        "        self._plan_cache.clear()\n"
+        "        self._progress.clear()\n"
         "        try:",
     )
     proc = run_lint(doctored_src)
     assert_caught(proc, "concurrency-contract", "CONC-CROSS-THREAD")
-    assert "_plan_cache" in proc.stdout
+    assert "_progress" in proc.stdout
     assert "repro/service/server.py" in proc.stdout
 
 

@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from repro.core.parallel import ParallelCampaign
+from repro.core.campaign import CampaignConfig
+from repro.core.parallel import ParallelCampaign, SlicePlanner
 from repro.core.pool import WorkerPool, _Worker
 from repro.core.supervisor import SupervisorPolicy
 from repro.obs import (
@@ -547,8 +548,9 @@ class TestReapGating:
             [WIN98], jobs=2,
             policy=SupervisorPolicy(mut_deadline=None, max_restarts=0),
         )
+        nothing = SlicePlanner([], CampaignConfig(), None, 1, "unused", {})
         with pytest.raises(RuntimeError, match="exited with code -9"):
-            runner._run_workers(pool, [], None, rec)
+            runner._run_workers(pool, nothing, None, rec)
         kinds = [r["kind"] for r in rec.records]
         assert kinds == ["worker_died", "budget_exhausted"]
         assert rec.records[0]["death"] == "killed"

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro import ALL_VARIANTS
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign, CampaignConfig, plan_identities
 from repro.core.parallel import ParallelCampaign
 from repro.core.results import ResultSet
 from repro.core.results_io import (
@@ -29,6 +29,7 @@ from repro.core.supervisor import SupervisorPolicy
 from repro.obs.recorder import MemoryRecorder
 from repro.service.chaos import ChaosConfig, ChaosTransport
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.queue import JobQueue, JobSpec
 from repro.service.rpc import (
     LAST_FRAGMENT,
     ProtocolError,
@@ -298,6 +299,29 @@ class TestShardedJobs:
         assert stats["leases"]["reassigned"] >= 1
         assert stats["leases"]["double_grants_refused"] == 0
 
+    def test_surplus_shards_close_without_a_lease(self, tmp_path, service):
+        """shards=8 over a five-position plan: the planner cuts five
+        slices, as the parallel runner does, the three surplus tokens
+        close without a lease, and the job finalises to the serial
+        bytes from the plan's slices alone."""
+        host, port = service.address
+        client = ServiceClient.connect(host, port)
+        job_id, _ = client.submit(
+            ["winnt"], cap=CAP, muts=SUBSET, shards=8
+        )
+        results = client.stream(job_id, timeout=180)
+        status = client.status(job_id)
+        client.close()
+        expected = serial_bytes(tmp_path, ["winnt"])
+        assert streamed_bytes(tmp_path, results, "surplus") == expected
+        assert service.queue.results_file(job_id).read_bytes() == expected
+        assert event_kinds(service.recorded).get("lease_granted") == 5
+        assert status["shards"]["winnt"]["done"]
+        assert status["shards"]["winnt"]["slices"] == {
+            "done": 8, "total": 8,
+        }
+        assert service._plans == {}  # no plan outlives its job
+
 
 def held_by_supervisor(service, tag):
     """Whether any per-tag table of the service's supervisor has ``tag``."""
@@ -470,6 +494,116 @@ class TestDrain:
             ) == serial_bytes(tmp_path, variants)
         client.close()
         svc2.close()
+
+    @staticmethod
+    def drain_mid_chain(data, monkeypatch):
+        """Submit a shards=3 winnt job and drain the service while slice 1
+        runs, with slice 0 done.  A hang at slice 1's first case pins its
+        worker, so the drain cannot miss the slice."""
+        winnt = next(p for p in ALL_VARIANTS if p.key == "winnt")
+        api, name = plan_identities(winnt, CampaignConfig(cap=CAP), SUBSET)[2]
+        monkeypatch.setenv("BALLISTA_FAULT_HANG", f"winnt|{api}:{name}|0")
+        svc = CampaignService(data, max_workers=1, lease_s=30.0)
+        host, port = svc.listen()
+        client = ServiceClient.connect(host, port)
+        job_id, _ = client.submit(
+            ["winnt"], cap=CAP, muts=SUBSET, shards=3
+        )
+        client.close()
+        deadline = time.monotonic() + 120
+        while f"{job_id}/winnt#1" not in svc.worker_pids():
+            assert time.monotonic() < deadline, "slice 1 never started"
+            time.sleep(0.02)
+        assert svc.queue.get(job_id).shards_done == {"winnt#0"}
+        svc.close()
+        monkeypatch.delenv("BALLISTA_FAULT_HANG")  # the next workers run
+        return job_id
+
+    def test_sharded_job_survives_a_restart_mid_chain(
+        self, tmp_path, monkeypatch
+    ):
+        """The restarted service rebuilds the job's plan: slice 0 settles
+        from its checkpoint file, not a second run, and hands slice 1
+        its end wear."""
+        data = tmp_path / "data"
+        job_id = self.drain_mid_chain(data, monkeypatch)
+        recorder = MemoryRecorder()
+        svc = CampaignService(
+            data, max_workers=2, lease_s=4.0, recorder=recorder
+        )
+        host, port = svc.listen()
+        client = ServiceClient.connect(host, port)
+        try:
+            results = client.stream(job_id, timeout=180)
+            saved = svc.queue.results_file(job_id).read_bytes()
+        finally:
+            client.close()
+            svc.close()
+        expected = serial_bytes(tmp_path, ["winnt"])
+        assert streamed_bytes(tmp_path, results, "restarted") == expected
+        assert saved == expected
+        assert event_kinds(recorder).get("lease_granted") == 2
+
+    def test_restart_finalises_a_job_whose_slices_all_finished(
+        self, tmp_path
+    ):
+        """A service that died between a job's last slice and its merge
+        left every token done and no results: the restarted service
+        merges the slices' checkpoints without running anything."""
+        data = tmp_path / "data"
+        queue = JobQueue(data)
+        record, _ = queue.submit(
+            JobSpec("t", "k", ("winnt",), cap=CAP, muts=tuple(SUBSET))
+        )
+        Campaign(
+            [p for p in ALL_VARIANTS if p.key == "winnt"],
+            config=CampaignConfig(cap=CAP),
+            muts=SUBSET,
+        ).run(checkpoint_path=queue.shard_file(record.job_id, "winnt"))
+        queue.mark_shard_done(record.job_id, "winnt")
+        queue.close()
+        recorder = MemoryRecorder()
+        svc = CampaignService(data, recorder=recorder)
+        host, port = svc.listen()
+        client = ServiceClient.connect(host, port)
+        try:
+            results = client.stream(record.job_id, timeout=60)
+        finally:
+            client.close()
+            svc.close()
+        assert streamed_bytes(tmp_path, results, "merged") == serial_bytes(
+            tmp_path, ["winnt"]
+        )
+        assert "lease_granted" not in event_kinds(recorder)
+
+    def test_unreadable_done_slice_fails_the_restarted_job(
+        self, tmp_path, monkeypatch
+    ):
+        """A done slice whose checkpoint is gone bad cannot give its
+        successor base wear: the rebuilt job fails at once, and the
+        scheduler goes on to run the next job."""
+        data = tmp_path / "data"
+        job_id = self.drain_mid_chain(data, monkeypatch)
+        (data / "jobs" / job_id / "campaign.ckpt.winnt#0.shard").write_text(
+            '{"format": "ballista-checkpoint", "vers'
+        )
+        svc = CampaignService(data, max_workers=2, lease_s=4.0)
+        host, port = svc.listen()
+        client = ServiceClient.connect(host, port)
+        try:
+            with pytest.raises(ServiceError, match="no usable base wear"):
+                client.stream(job_id, timeout=60)
+            next_job, _ = client.submit(
+                ["winnt"], cap=CAP, muts=SUBSET, tenant="next"
+            )
+            results = client.stream(next_job, timeout=180)
+        finally:
+            client.close()
+            svc.close()
+        assert streamed_bytes(tmp_path, results, "next") == serial_bytes(
+            tmp_path, ["winnt"]
+        )
+        assert svc._plans == {}
 
     def test_draining_service_refuses_new_submissions(self, service):
         host, port = service.address

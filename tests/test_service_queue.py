@@ -74,7 +74,12 @@ class TestDurability:
         # Leases are process-local: a crashed service's running jobs
         # come back pending.
         assert loaded.state == JOB_PENDING
-        assert q2.pending_shards() == [(record.job_id, "win98")]
+        assert [
+            (r.job_id, token)
+            for r in q2.jobs()
+            for token in r.spec.all_tokens()
+            if token not in r.shards_done
+        ] == [(record.job_id, "win98")]
 
     def test_terminal_states_survive_reopen(self, tmp_path):
         q = JobQueue(tmp_path)
@@ -88,7 +93,7 @@ class TestDurability:
         assert q2.get(done.job_id).state == JOB_DONE
         assert q2.get(failed.job_id).state == JOB_FAILED
         assert q2.get(failed.job_id).error == "shard kept dying"
-        assert q2.pending_shards() == []
+        assert [r.state for r in q2.jobs()] == [JOB_DONE, JOB_FAILED]
 
     def test_torn_journal_tail_is_dropped_with_a_warning(self, tmp_path):
         q = JobQueue(tmp_path)
@@ -152,7 +157,11 @@ class TestShardBookkeeping:
         q = JobQueue(tmp_path)
         a, _ = q.submit(spec(key="a", variants=("winnt", "win98")))
         b, _ = q.submit(spec(key="b", variants=("linux",)))
-        assert q.pending_shards() == [
+        assert [
+            (r.job_id, token)
+            for r in q.jobs()
+            for token in r.spec.all_tokens()
+        ] == [
             (a.job_id, "winnt"),
             (a.job_id, "win98"),
             (b.job_id, "linux"),
