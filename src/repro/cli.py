@@ -39,7 +39,7 @@ from repro.analysis.tables import (
     render_table3,
 )
 from repro.core.campaign import default_cap
-from repro.core.parallel import default_jobs, default_shards
+from repro.core.parallel import CampaignGaveUp, default_jobs, default_shards
 from repro.core.supervisor import (
     SupervisorPolicy,
     default_max_mut_retries,
@@ -544,6 +544,11 @@ def main(argv: list[str] | None = None) -> int:
                 resume=resume,
                 recorder=recorder,
             )
+        except CampaignGaveUp as exc:
+            # The supervisor's verdict, not a harness bug: one line plus
+            # each worker's own diagnosis, not this process's traceback.
+            sys.stderr.write(f"repro: {exc}\n")
+            return 1
         finally:
             if renderer is not None:
                 renderer.close()

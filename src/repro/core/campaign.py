@@ -538,7 +538,13 @@ def drive_plan(
             wear_dirty = keep_wear
         checkpoint.cursors[variant] = position + 1
         since_checkpoint += 1
-        if checkpoint_path is not None and since_checkpoint >= checkpoint_every:
+        # At the last position the end-of-variant save below writes the
+        # same document, so the cadence leaves it to that one.
+        if (
+            checkpoint_path is not None
+            and since_checkpoint >= checkpoint_every
+            and position + 1 < stop
+        ):
             save_and_tell(position + 1)
             since_checkpoint = 0
     if plan_slice is not None:

@@ -57,17 +57,25 @@ class CaseCode(enum.IntEnum):
 
     @property
     def is_failure(self) -> bool:
-        return self in (
-            CaseCode.ABORT,
-            CaseCode.RESTART,
-            CaseCode.CATASTROPHIC,
-            CaseCode.FAULT_ATOMICITY,
-        )
+        return self in FAILURE_CODES
 
     @property
     def counts_as_executed(self) -> bool:
         return self not in (CaseCode.SETUP_SKIP, CaseCode.NOT_RUN)
 
+
+#: The codes that count as robustness failures: a failing case keeps its
+#: value names, and a failing step ends its sequence.  Members hash and
+#: compare as their ints, so one probe also answers for a stored code
+#: byte.
+FAILURE_CODES = frozenset(
+    {
+        CaseCode.ABORT,
+        CaseCode.RESTART,
+        CaseCode.CATASTROPHIC,
+        CaseCode.FAULT_ATOMICITY,
+    }
+)
 
 #: Map from case codes to the CRASH class they directly evidence.
 CODE_TO_SEVERITY = {

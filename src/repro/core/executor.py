@@ -28,9 +28,16 @@ from repro.sim.filesystem import FileSystemError
 from repro.sim.machine import Machine
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CaseOutcome:
-    """The classified result of one executed test case."""
+    """The classified result of one executed test case.
+
+    A value: it compares and hashes by its fields, and nothing assigns
+    to one once built.  It is not ``frozen`` because a frozen
+    dataclass's ``__init__`` stores every field through
+    ``object.__setattr__``, two to three times the cost of plain slot
+    stores, and one outcome is built per case and per sequence step.
+    """
 
     code: CaseCode
     detail: str

@@ -31,12 +31,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PAPER_CAP = 5000
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TestCase:
     """One concrete test case: a MuT plus one chosen value per parameter.
 
     ``value_names`` makes any case replayable in isolation (the paper's
     "brief single-test program representing a single test case").
+
+    A value: it compares and hashes by its fields, and nothing assigns
+    to one once built -- the plan cache hands the same instances to
+    every variant and shard.  It is not ``frozen`` because a frozen
+    dataclass's ``__init__`` stores every field through
+    ``object.__setattr__``, and the sequence runner builds one per step.
     """
 
     mut_name: str

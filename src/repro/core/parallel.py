@@ -722,6 +722,13 @@ class SlicePlanner:
         successor["known"] = True
 
 
+class CampaignGaveUp(RuntimeError):
+    """The supervisor gave up on at least one worker spec: its restart
+    budget ran out, or the spec raised before its first unit.  The
+    message names the specs and carries each worker's own diagnosis
+    (a traceback, for a spec that raised)."""
+
+
 class ParallelCampaign:
     """Drop-in campaign runner that fans variants out across supervised
     worker processes.
@@ -1107,7 +1114,7 @@ class ParallelCampaign:
                 f"--- worker [{key}] ---\n{text}"
                 for key, text in sorted(errors.items())
             )
-            raise RuntimeError(
+            raise CampaignGaveUp(
                 f"parallel campaign gave up on {sorted(errors)}:\n{detail}"
             )
 

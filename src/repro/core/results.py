@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.core.crash_scale import CaseCode
+from repro.core.crash_scale import FAILURE_CODES, CaseCode
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,18 @@ class MuTResult:
         error_code: int = 0,
     ) -> None:
         assert case_index == len(self.codes), "cases must arrive in order"
-        self.codes.append(int(code))
+        # Called once per case: a code appends as the int it is, and one
+        # set probe tests it for failure.
+        self.codes.append(code)
         self.exceptional.append(1 if exceptional else 0)
         self.error_codes.append(error_code & 0xFFFF_FFFF)
         if detail:
             self.details[case_index] = detail
-        if code.is_failure and value_names is not None:
-            self.failing_cases[case_index] = value_names
-        if code is CaseCode.CATASTROPHIC:
-            self.catastrophic = True
+        if code in FAILURE_CODES:
+            if value_names is not None:
+                self.failing_cases[case_index] = value_names
+            if code is CaseCode.CATASTROPHIC:
+                self.catastrophic = True
 
     # ------------------------------------------------------------------
     # Counting
@@ -253,6 +256,10 @@ class ResultSet:
         return hits[0]
 
     def has(self, variant: str, mut_name: str, api: str | None = None) -> bool:
+        if api is not None:
+            # The plan driver asks this once per unit, and mostly of
+            # rows not recorded yet: a key probe, not a raised KeyError.
+            return (variant, api, mut_name) in self._results
         try:
             self.get(variant, mut_name, api)
             return True

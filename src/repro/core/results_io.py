@@ -30,7 +30,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 
-from repro.core.crash_scale import CaseCode
+from repro.core.crash_scale import FAILURE_CODES, CaseCode
 from repro.core.results import ResultSet
 
 FORMAT_VERSION = 3
@@ -190,11 +190,10 @@ def _results_json(results: ResultSet) -> str:
     return _spliced(_results_document(results, None), "results", rows)
 
 
-#: Valid case-code bytes, the ones that keep a failing case's value
-#: names (:attr:`CaseCode.is_failure`), and a ``bytes.translate`` table
-#: mapping every nonzero exceptional byte to 1 (the flag is a bool).
+#: Valid case-code bytes, and a ``bytes.translate`` table mapping every
+#: nonzero exceptional byte to 1 (the flag is a bool).  A failing case
+#: keeps its value names (:data:`FAILURE_CODES`).
 _CODE_BYTES = bytes(int(code) for code in CaseCode)
-_FAILURE_CODES = frozenset(int(code) for code in CaseCode if code.is_failure)
 _TRUTH = bytes([0] + [1] * 255)
 
 
@@ -242,7 +241,7 @@ def _row_from_dict(results: ResultSet, row: dict) -> None:
     result.failing_cases = {
         index: failing[index]
         for index in sorted(failing)
-        if 0 <= index < count and codes[index] in _FAILURE_CODES
+        if 0 <= index < count and codes[index] in FAILURE_CODES
     }
     result.catastrophic = int(CaseCode.CATASTROPHIC) in codes
     result.interference_crash = bool(row.get("interference"))

@@ -55,7 +55,7 @@ from repro.core.campaign import (
     drive_plan,
 )
 from repro.core.context import TestContext
-from repro.core.crash_scale import CaseCode
+from repro.core.crash_scale import FAILURE_CODES, CaseCode
 from repro.core.executor import Executor
 from repro.core.generator import CaseGenerator, TestCase
 from repro.core.mut import MuT
@@ -282,7 +282,14 @@ def _run_sequence(
     """The sequence runner: execute one sequence in one process and fill
     ``result`` (one case code per step plus the ``sequence`` attribution
     record).  Returns the hook that, after ``mut_finished``, emits
-    ``sequence_finished`` and reboots a clean-mode machine."""
+    ``sequence_finished`` and reboots a clean-mode machine.
+
+    The process is spawned from the machine's process image, and a
+    sequence that ends on a live machine hands it back, with the C
+    runtime its steps booted (:meth:`Machine.retire_process`): right
+    after ``terminate`` in dirty mode, and after the between-sequence
+    reboot in clean mode, since a reboot drops the image.  A sequence
+    that crashed the machine hands nothing back."""
     machine = executor.machine
     variant = machine.personality.key
     result.planned_cases = len(plan.steps)
@@ -297,6 +304,9 @@ def _run_sequence(
             )
         )
     base_wear = machine.wear_state() if config.dirty_machine else None
+    reclass_thrown = config.count_thrown_exceptions_as_abort
+    # The step whose call window the fault is armed for (None: clean).
+    armed_step = plan.fault_step if plan.fault_family is not None else None
     step_ticks: list[int] = []
     deltas: list[int] = []
     fault_fired = 0
@@ -313,12 +323,14 @@ def _run_sequence(
         deltas.append(0)
         crash_detail = str(exc)
     if ctx is not None:
+        # Corruption moves only inside a step, so the level after one
+        # step is the level before the next.
+        level = machine.corruption_level
         for index, (step, mut) in enumerate(zip(plan.steps, plan.muts)):
             if heartbeat is not None:
                 heartbeat(variant, key, index)
             case = TestCase(mut.name, index, step.value_names)
-            inject = plan.fault_step == index and plan.fault_family is not None
-            level_before = machine.corruption_level
+            inject = index == armed_step
             if inject:
                 machine.faults.arm(plan.fault_family)
             try:
@@ -329,17 +341,25 @@ def _run_sequence(
                 if inject:
                     fault_fired = machine.faults.fired
                     machine.faults.disarm()
-            outcome = _apply_policies(config, outcome)
+            # Inline _apply_policies, as the case runner does.
+            if (
+                reclass_thrown
+                and outcome.code is CaseCode.PASS_ERROR
+                and outcome.detail.startswith("thrown ")
+            ):
+                outcome = _apply_policies(config, outcome)
+            code = outcome.code
             result.record(
                 index,
-                outcome.code,
+                code,
                 outcome.exceptional_input,
                 outcome.detail,
                 outcome.value_names,
                 error_code=outcome.error_code,
             )
             step_ticks.append(machine.clock.ticks)
-            deltas.append(machine.corruption_level - level_before)
+            before, level = level, machine.corruption_level
+            deltas.append(level - before)
             if recorder is not None:
                 # Same hot-path dict form as the case runner, so the
                 # deterministic stream machinery treats a sequence like
@@ -350,7 +370,7 @@ def _run_sequence(
                         "variant": variant,
                         "mut": key,
                         "case": index,
-                        "code": int(outcome.code),
+                        "code": int(code),
                         "exceptional": outcome.exceptional_input,
                         "sim_ticks": machine.clock.ticks,
                     }
@@ -365,7 +385,7 @@ def _run_sequence(
                             fault_fired,
                         )
                     )
-                if outcome.code is CaseCode.FAULT_ATOMICITY:
+                if code is CaseCode.FAULT_ATOMICITY:
                     recorder.emit(
                         obs_events.AtomicityViolation(
                             variant,
@@ -374,7 +394,7 @@ def _run_sequence(
                             plan.fault_family,
                         )
                     )
-            if outcome.code.is_failure:
+            if code in FAILURE_CODES:
                 # The sequence's task (or machine) is gone: Abort and
                 # Restart kill the process the remaining steps needed,
                 # an atomicity break invalidates their baseline, and a
@@ -384,6 +404,8 @@ def _run_sequence(
                 crash_detail = outcome.detail
                 break
     rebooted = False
+    # The context whose process clean mode hands back after its reboot.
+    retiring: TestContext | None = None
     if machine.crashed:
         machine.reboot()
         rebooted = True
@@ -391,10 +413,15 @@ def _run_sequence(
         # End-of-sequence teardown: deferred constructor cleanups, then
         # the process (closing every handle/fd the sequence still held).
         ctx.run_cleanups()
+        process = ctx.process
         try:
-            ctx.process.terminate()
+            process.terminate()
         except (SimFault, MachineCrashed):  # pragma: no cover - defensive
             pass
+        if config.dirty_machine:
+            machine.retire_process(process, ctx._crt)
+        elif not machine.crashed:
+            retiring = ctx
     result.sequence = _attribute(
         plan, result, step_ticks, deltas, fault_fired, crash_detail, base_wear
     )
@@ -414,8 +441,10 @@ def _run_sequence(
             )
         if not config.dirty_machine and not rebooted:
             # Clean mode: every sequence starts on a pristine machine
-            # (the crash path already rebooted).
+            # (the crash path already rebooted), from the process image.
             machine.reboot()
+            if retiring is not None:
+                machine.retire_process(retiring.process, retiring._crt)
 
     return finish
 
@@ -432,18 +461,14 @@ def _attribute(
     """Build the sequence record (format v3 ``sequence`` field): step
     identities, per-step sim ticks, the fault decision, and the crash
     attribution."""
-    codes = [CaseCode(code) for code in result.codes]
+    # The stored code bytes, read as they are: FAILURE_CODES answers for
+    # a byte, and the Catastrophic one is a byte search.
+    codes = result.codes
     first_failure = next(
-        (i for i, code in enumerate(codes) if code.is_failure), None
+        (i for i, code in enumerate(codes) if code in FAILURE_CODES), None
     )
-    crash_step = next(
-        (
-            i
-            for i, code in enumerate(codes)
-            if code is CaseCode.CATASTROPHIC
-        ),
-        None,
-    )
+    found = codes.find(CaseCode.CATASTROPHIC)
+    crash_step = found if found >= 0 else None
     origin_step: int | None = None
     classification: str | None = None
     if crash_step is not None:

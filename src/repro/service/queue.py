@@ -188,6 +188,10 @@ class JobQueue:
         self._lock = threading.Lock()
         self._jobs: dict[str, JobRecord] = {}
         self._by_submit_key: dict[tuple[str, str], str] = {}
+        #: The ids of jobs neither done nor failed, in submission order
+        #: (a dict for its order and O(1) removal): the scheduler walks
+        #: these, not every job the data dir ever held.
+        self._live: dict[str, None] = {}
         self._next_seq = 1
         self._journal_ops = 0
         self._load()
@@ -262,6 +266,11 @@ class JobQueue:
         self._by_submit_key = {
             (record.spec.tenant, record.spec.job_key): record.job_id
             for record in self._jobs.values()
+        }
+        self._live = {
+            job_id: None
+            for job_id in sorted(self._jobs, key=_seq_of)
+            if self._jobs[job_id].state not in (JOB_DONE, JOB_FAILED)
         }
 
     def _apply(self, op: dict) -> None:
@@ -344,6 +353,7 @@ class JobQueue:
             record = JobRecord(job_id=job_id, spec=spec)
             self._jobs[job_id] = record
             self._by_submit_key[(spec.tenant, spec.job_key)] = job_id
+            self._live[job_id] = None
             self._append({"op": "submit", "job": record.as_dict()})
             return record, True
 
@@ -358,6 +368,13 @@ class JobQueue:
                 self._jobs[job_id]
                 for job_id in sorted(self._jobs, key=_seq_of)
             ]
+
+    def live_jobs(self) -> list[JobRecord]:
+        """The records of jobs neither done nor failed, in submission
+        order: what a scheduling pass has to look at, however many
+        finished jobs the queue holds."""
+        with self._lock:
+            return [self._jobs[job_id] for job_id in self._live]
 
     def mark_running(self, job_id: str) -> None:
         """In-memory only: lease state is not durable."""
@@ -383,6 +400,7 @@ class JobQueue:
     def mark_job_done(self, job_id: str) -> None:
         with self._lock:
             record = self._jobs[job_id]
+            self._live.pop(job_id, None)
             if record.state != JOB_DONE:
                 record.state = JOB_DONE
                 self._append({"op": "job_done", "job_id": job_id})
@@ -390,6 +408,7 @@ class JobQueue:
     def mark_job_failed(self, job_id: str, error: str) -> None:
         with self._lock:
             record = self._jobs[job_id]
+            self._live.pop(job_id, None)
             if record.state != JOB_FAILED:
                 record.state = JOB_FAILED
                 record.error = error

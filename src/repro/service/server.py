@@ -60,7 +60,6 @@ from repro.obs import events as obs_events
 from repro.service import protocol as P
 from repro.service.leases import LeaseError, LeaseManager
 from repro.service.queue import (
-    JOB_DONE,
     JOB_FAILED,
     JobQueue,
     JobRecord,
@@ -918,11 +917,7 @@ class CampaignService:
 
     def _teardown(self) -> None:
         with self._lock:
-            pending = sum(
-                1
-                for record in self.queue.jobs()
-                if record.state not in (JOB_DONE, JOB_FAILED)
-            )
+            pending = len(self.queue.live_jobs())
             self._emit(obs_events.DrainStarted(pending))
             # Shard checkpoints on disk keep the in-flight progress.
             for tag in self._pool.pids():
@@ -1008,9 +1003,7 @@ class CampaignService:
         if self._draining.is_set():
             return
         now = self._supervisor.policy.clock()
-        for record in self.queue.jobs():
-            if record.state in (JOB_DONE, JOB_FAILED):
-                continue
+        for record in self.queue.live_jobs():
             plan = self._plans.get(record.job_id) or self._plan_job(record)
             if plan is None:
                 continue  # failed, or finalised from its slices' files

@@ -126,9 +126,10 @@ class Machine:
             self.shared_region = Region(
                 SHARED_BASE, SHARED_ARENA_SIZE, Protection.RW, tag="shared-arena"
             )
-        #: The process image: the last per-case process handed back by
-        #: :meth:`retire_process`, which the next :meth:`spawn_process`
-        #: resets in place.  A booted machine holds none.
+        #: The process image: the last case's or sequence's process
+        #: handed back by :meth:`retire_process`, which the next
+        #: :meth:`spawn_process` resets in place.  A booted machine
+        #: holds none.
         self._process_image: Process | None = None
 
     # ------------------------------------------------------------------
@@ -155,14 +156,20 @@ class Machine:
         return image
 
     def retire_process(self, process: Process, runtime: object = None) -> None:
-        """Hand a terminated per-case process back as the machine's
-        process image, together with the C runtime the case booted in
-        it (``None`` keeps the runtime the process already carries).
+        """Hand a terminated process back as the machine's process
+        image, together with the C runtime booted in it (``None`` keeps
+        the runtime the process already carries).
 
-        Only ``Executor.run_case`` hands processes back, after
-        ``terminate``; the caller must not touch either object again.
-        A crashed machine keeps nothing: its next process is built cold
-        after the reboot.
+        Two runners hand processes back, each after ``terminate``:
+        ``Executor.run_case`` at the end of every case, and the
+        sequence runner at the end of every sequence that leaves the
+        machine up -- a clean-mode sequence after its between-sequence
+        reboot, which drops the image.  The caller must not touch
+        either object again.  Every other spawn (``fork``'s child,
+        triage's shared-process replay) finds no image -- the running
+        case or sequence took it, or the machine is fresh -- and hands
+        nothing back.  A crashed machine keeps nothing: its next process
+        is built cold after the reboot.
         """
         if self.crashed or not process.exited:
             return

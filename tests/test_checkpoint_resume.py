@@ -410,6 +410,39 @@ class TestCampaignResume:
 # ----------------------------------------------------------------------
 
 
+class TestCheckpointCadence:
+    def test_last_position_is_saved_once(
+        self, subset_registry, winnt, tmp_path, monkeypatch
+    ):
+        """Five MuTs checkpointed every five (a service job's shape):
+        the cadence save would land on the last position, where the
+        end-of-variant save writes the same document.  The run saves
+        twice, at the variant's end and complete, and its file equals
+        the one a run without any cadence save writes."""
+        from repro.core import campaign as campaign_module
+
+        saves: list[dict] = []
+        save = campaign_module.save_checkpoint
+
+        def counting_save(checkpoint, path):
+            saves.append(dict(checkpoint.cursors))
+            save(checkpoint, path)
+
+        monkeypatch.setattr(campaign_module, "save_checkpoint", counting_save)
+        cadenced = tmp_path / "every5.ckpt"
+        small_campaign(subset_registry, [winnt]).run(
+            checkpoint_path=cadenced, checkpoint_every=5
+        )
+        assert saves == [{"winnt": 5}, {"winnt": 5}]
+        assert load_checkpoint(cadenced).complete is True
+
+        uncadenced = tmp_path / "every1000.ckpt"
+        small_campaign(subset_registry, [winnt]).run(
+            checkpoint_path=uncadenced, checkpoint_every=1000
+        )
+        assert cadenced.read_bytes() == uncadenced.read_bytes()
+
+
 class TestClientResume:
     def test_relaunched_client_resumes_and_matches_clean_run(
         self, subset_registry, winnt, tmp_path

@@ -141,6 +141,32 @@ class TestGenerator:
         assert case.describe() == "m(S0)"
 
 
+class TestSharedPlanCache:
+    def test_a_campaign_leaves_the_cached_cases_as_planned(self):
+        """``TestCase`` is a plain slotted record, not a frozen one, and
+        the plan cache hands the same instances to every variant: a run
+        must leave each cached case equal to what was planned."""
+        from repro.core.campaign import Campaign, CampaignConfig
+        from repro.posix.linux import LINUX
+        from repro.win32.variants import WIN98
+
+        generator = CaseGenerator(default_types(), cap=20)
+        campaign = Campaign(
+            [WIN98, LINUX], config=CampaignConfig(cap=20), generator=generator
+        )
+
+        def snapshot():
+            return {
+                name: [(c.mut_name, c.index, c.value_names) for c in plan]
+                for name, plan in generator._plan_cache.items()
+            }
+
+        planned = snapshot()
+        assert planned  # the campaign planned every MuT up front
+        campaign.run()
+        assert snapshot() == planned
+
+
 class TestPaperScaleCounts:
     """Section 3.1: 'Testing was capped at 5000 ... 72 Windows MuTs and
     34 POSIX MuTs were capped at 5000 tests each.'  Our pools are smaller

@@ -3,17 +3,20 @@ exactly what cold construction builds.
 
 ``Executor.run_case`` hands each terminated process, with the C runtime
 the case booted in it, back to its machine
-(``Machine.retire_process``); the next ``Machine.spawn_process()`` resets
-that process in place and the next ``TestContext.crt`` moves the runtime
-to the current cursor, both through the class's one boot routine
-(``Process._boot`` / ``CRuntime._boot``).  Three proofs, in the manner of
+(``Machine.retire_process``), and the sequence runner does the same at
+the end of each sequence that leaves the machine up; the next
+``Machine.spawn_process()`` resets that process in place and the next
+``TestContext.crt`` moves the runtime to the current cursor, both
+through the class's one boot routine (``Process._boot`` /
+``CRuntime._boot``).  Three proofs, in the manner of
 ``test_hotpath_golden.TestRevertEqualsColdRebuild``:
 
 * an oracle: with the hand-back verb patched to a no-op every process
   and runtime is built cold, and results and wall-stripped telemetry
   must be byte-identical to the image path's -- over a crash and
-  reboot, dirty shared arenas, ``fork``, an armed sequence campaign,
-  and MuTs that dirty each boot object;
+  reboot, dirty shared arenas, ``fork``, armed sequence campaigns in
+  clean mode (one with Catastrophic steps) and on a dirty machine, and
+  MuTs that dirty each boot object;
 * field equality: on those campaigns every reused process equals
   ``Process(machine, pid)`` and every moved runtime equals a cold
   ``CRuntime`` built after the same allocations, field for field;
@@ -30,6 +33,7 @@ import weakref
 import pytest
 
 from repro import ALL_VARIANTS
+from repro.core import sequences
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.context import TestContext
 from repro.core.crash_scale import CaseCode
@@ -80,6 +84,27 @@ SUBSETS = {
     "armed_sequences": (
         [WIN98],
         CampaignConfig(cap=40, mode="sequence", sequences=40, sequence_seed=3),
+        None,
+    ),
+    # Clean mode with Catastrophic steps (three origin crashes): a
+    # crashed sequence hands nothing back.
+    "crashed_sequences": (
+        [WIN98],
+        CampaignConfig(cap=40, mode="sequence", sequences=40, sequence_seed=4),
+        None,
+    ),
+    # No reboot between sequences: the image passes straight from one
+    # sequence to the next, over the wear they leave (the CI sequences
+    # job's dirty-machine plan).
+    "dirty_sequences": (
+        [WIN98, WINCE],
+        CampaignConfig(
+            cap=40,
+            mode="sequence",
+            sequences=100,
+            sequence_seed=2,
+            dirty_machine=True,
+        ),
         None,
     ),
     "dirtying": ([WIN98, WINCE, WINNT, LINUX], CampaignConfig(cap=40), DIRTYING),
@@ -285,11 +310,12 @@ class ImageSpy:
     ``moved`` (runtimes moved into a reused process), ``dirty_region``
     and ``dirty_crt_region`` (boot regions rebuilt because a case
     touched them), ``window`` (an image left unused because a fault
-    window was open), ``crashed`` (cases that crashed the machine, which
-    hand nothing back) and ``outside`` (spawns not made by ``run_case``,
-    which must find no image).  ``problems`` collects every violated
-    check; with ``fields`` each reuse is also compared field by field
-    with a cold construction.
+    window was open), ``crashed`` (cases and sequences that crashed the
+    machine, which hand nothing back) and ``outside`` (spawns made by
+    neither runner, ``run_case`` nor ``_run_sequence``, which must find
+    no image).  ``problems`` collects every violated check; with
+    ``fields`` each reuse is also compared field by field with a cold
+    construction.
     """
 
     def __init__(self, monkeypatch, fields: bool = False) -> None:
@@ -300,14 +326,15 @@ class ImageSpy:
         process_boot = Process._boot
         runtime_boot = CRuntime._boot
         run_case = Executor.run_case
+        run_sequence = sequences._run_sequence
         spy = self
 
         def spawn_process(machine):
             image = machine._process_image
-            if sys._getframe(1).f_code.co_name != "run_case":
+            if sys._getframe(1).f_code.co_name not in ("run_case", "_run_sequence"):
                 spy.counts["outside"] += 1
                 if image is not None:
-                    spy.problems.append("a spawn outside run_case found an image")
+                    spy.problems.append("a spawn outside the runners found an image")
             if image is not None and machine.faults.active:
                 spy.counts["window"] += 1
             process = spawn(machine)
@@ -363,10 +390,26 @@ class ImageSpy:
                     spy.problems.append("a crashed machine kept an image")
             return outcome
 
+        def run_sequence_spy(executor, plan, key, result, *rest):
+            finish = run_sequence(executor, plan, key, result, *rest)
+
+            def finish_spy():
+                finish()
+                # The runner rebooted the crashed machine before this
+                # hook, and the clean-mode reboot after it must not hand
+                # the crashed sequence's process back either.
+                if result.catastrophic:
+                    spy.counts["crashed"] += 1
+                    if executor.machine._process_image is not None:
+                        spy.problems.append("a crashed sequence handed back its process")
+
+            return finish_spy
+
         monkeypatch.setattr(Machine, "spawn_process", spawn_process)
         monkeypatch.setattr(Process, "_boot", boot_process)
         monkeypatch.setattr(CRuntime, "_boot", boot_runtime)
         monkeypatch.setattr(Executor, "run_case", run_case_spy)
+        monkeypatch.setattr(sequences, "_run_sequence", run_sequence_spy)
 
     @staticmethod
     def _shadow(process: Process) -> Process:
@@ -432,14 +475,12 @@ def test_subset_is_byte_identical_to_cold(oracle_runs, subset):
     assert cold_spy.counts["reused"] == cold_spy.counts["moved"] == 0
     assert image_results == cold[0]
     assert image_streams == cold[1]
-    if subset == "armed_sequences":
-        # Sequences spawn outside run_case: never from an image.
-        assert spy.counts["outside"] > 0
-        assert spy.counts["reused"] == 0
-    else:
-        assert spy.counts["reused"] > 0
-    if subset == "crash_reboot":
+    # Sequences reuse the image too: from the clean-mode reboot, and
+    # straight from the last sequence on a dirty machine.
+    assert spy.counts["reused"] > 0
+    if subset in ("crash_reboot", "crashed_sequences", "dirty_sequences"):
         assert f'"code":{int(CaseCode.CATASTROPHIC)}' in dumps(image_streams)
+        assert spy.counts["crashed"] > 0
 
 
 def test_image_path_and_every_rejection_class_fired(oracle_runs):

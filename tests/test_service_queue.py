@@ -199,6 +199,38 @@ class TestShardBookkeeping:
         assert q.results_file(record.job_id).parent == shard.parent
 
 
+class TestLiveJobs:
+    def test_live_view_holds_only_unfinished_jobs_across_a_reopen(
+        self, tmp_path
+    ):
+        """The scheduler walks the live view on every pass: with 2,000
+        finished jobs and one pending, it holds the pending job alone,
+        and a reopen rebuilds it from the snapshot plus the journal
+        tail (whose last op finishes a job the snapshot holds as
+        pending)."""
+        q = JobQueue(tmp_path, compact_every=1000)
+        pending = None
+        for index in range(2000):
+            if index == 1000:
+                pending, _ = q.submit(spec(key="pending"))
+            record, _ = q.submit(spec(key=f"k{index}"))
+            if index % 2:
+                q.mark_job_failed(record.job_id, "boom")
+            else:
+                q.mark_job_done(record.job_id)
+        assert [r.job_id for r in q.live_jobs()] == [pending.job_id]
+        # 4,001 ops, compacted every 1,000: only the last job's
+        # ``job_failed`` is left in the journal.
+        journal = (tmp_path / "queue.journal").read_text().splitlines()
+        assert [json.loads(line)["op"] for line in journal] == ["job_failed"]
+
+        reopened = JobQueue(tmp_path)  # no close(): snapshot + journal
+        assert [r.job_id for r in reopened.live_jobs()] == [pending.job_id]
+        assert len(reopened.jobs()) == 2001
+        states = [r.state for r in reopened.jobs()]
+        assert states.count(JOB_DONE) == states.count(JOB_FAILED) == 1000
+
+
 class TestSpecValidation:
     def test_round_trip(self):
         original = spec(variants=("winnt", "win98"), muts=("strcpy",))

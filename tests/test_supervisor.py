@@ -609,6 +609,42 @@ class TestSupervisorDecisions:
         assert supervisor.verdicts == supervisor.strikes == {}
 
 
+class TestCliGiveUp:
+    def test_budget_zero_drill_reports_one_line(self, tmp_path):
+        """The CI budget-0 drill: a worker killed with no restarts left
+        fails the run with exit 1 and the supervisor's verdict on
+        stderr, not a traceback of the CLI process."""
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(src),
+            "BALLISTA_FAULT_KILL": "winnt|libc:strcpy|3",
+        }
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro",
+                "--variants", "win98,winnt,linux", "--cap", "40",
+                "--jobs", "2", "--max-restarts", "0",
+                "--tables", "table1", "--quiet",
+            ],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(
+            "repro: parallel campaign gave up on ['winnt']:\n"
+        ), proc.stderr
+        assert "restart budget exhausted (0)" in proc.stderr
+        assert "Traceback (most recent call last)" not in proc.stderr
+
+
 class TestCliFlags:
     def test_negative_deadline_rejected(self, capsys):
         from repro.cli import main
